@@ -36,6 +36,7 @@ pub mod bus;
 pub mod channel;
 pub mod cmdlog;
 pub mod config;
+pub mod intmap;
 pub mod power;
 pub mod rank;
 pub mod request;

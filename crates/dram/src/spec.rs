@@ -24,6 +24,9 @@ use crate::config::{
 /// Cache-line / transfer size in bytes, common to every modeled spec.
 pub const LINE_BYTES: usize = 64;
 
+/// Ranks on a Table II-class main-memory channel (two quad-rank DIMMs).
+const MAIN_CHANNEL_RANKS: usize = 8;
+
 /// The memory standards this simulator ships timing tables for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DramStandard {
@@ -331,12 +334,9 @@ impl DramSpec {
     pub fn validate(&self) -> Result<(), String> {
         let t = &self.timing;
         let name = self.standard.name();
-        if self.bank_groups == 0 || !self.banks.is_multiple_of(self.bank_groups) {
-            return Err(format!(
-                "{name}: {} banks do not split evenly into {} bank groups",
-                self.banks, self.bank_groups
-            ));
-        }
+        // Geometry first; the largest channel built from a spec is the
+        // 8-rank main channel.
+        self.topology(MAIN_CHANNEL_RANKS).validate().map_err(|e| format!("{name}: {e}"))?;
         if self.burst_length != self.derived_burst_length() {
             return Err(format!(
                 "{name}: burst length {} moves {} bytes over a x{} bus, not a {}-byte line",
@@ -425,7 +425,7 @@ impl DramSpec {
 
     /// A main-memory channel (Table II-class: 8 ranks, off-DIMM I/O).
     pub fn main_channel(&self) -> ChannelConfig {
-        self.channel(8, ChannelLocation::OffDimm)
+        self.channel(MAIN_CHANNEL_RANKS, ChannelLocation::OffDimm)
     }
 
     /// An SDIMM internal channel (quad-rank, on-DIMM I/O).
@@ -530,8 +530,8 @@ mod tests {
             let spec = std.spec();
             let topo = spec.topology(8);
             assert_eq!(topo.banks_per_group() * spec.bank_groups, spec.banks, "{}", std.name());
-            // Every supported topology fits the scheduler's flat bitmask.
-            assert!(topo.ranks * topo.banks <= 128, "{}", std.name());
+            // Every shipped channel fits the scheduler's occupancy mask.
+            assert!(topo.validate().is_ok(), "{}", std.name());
         }
     }
 
@@ -558,6 +558,16 @@ mod tests {
         spec = DramSpec::ddr4_2400();
         spec.hammer_threshold = 0;
         assert!(spec.validate().unwrap_err().contains("hammer"));
+    }
+
+    #[test]
+    fn validate_rejects_more_banks_than_one_channel_schedules() {
+        // 8 main-channel ranks × 32 banks overflow the scheduler's
+        // 128-bank occupancy mask: a spec error, not a hot-loop fallback.
+        let mut spec = DramSpec::ddr4_2400();
+        spec.banks = 32;
+        spec.bank_groups = 8;
+        assert!(spec.validate().unwrap_err().contains("exceed"));
     }
 
     #[test]

@@ -29,37 +29,11 @@
 //! ACTs) and is itself audited: `sdimm-audit` re-derives the per-row
 //! ACT totals from the captured command stream with none of this code.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::config::ChannelConfig;
+use crate::intmap::IntMap;
 
-/// Multiplicative hasher for the tracker's flat row keys. The keys are
-/// dense, well-distributed integers (no attacker controls them), so one
-/// odd-constant multiply with a high-to-low mix replaces the default
-/// DoS-resistant hash on the per-ACT hot path.
-#[derive(Debug, Default)]
-struct RowKeyHasher(u64);
-
-impl Hasher for RowKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused here): FNV-1a.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
-        }
-    }
-}
-
-type RowMap<V> = HashMap<u64, V, BuildHasherDefault<RowKeyHasher>>;
+/// Per-row state keyed by flat row key.
+type RowMap<V> = IntMap<u64, V>;
 
 /// Lifetime counters of one accounting bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use dram_sim::bus::Bus;
 use dram_sim::channel::DramChannel;
 use dram_sim::config::{ChannelConfig, Cycle};
+use dram_sim::intmap::IntMap;
 use dram_sim::power::EnergyBreakdown;
 use dram_sim::request::RequestId;
 use sdimm::trace::{Activity, RequestTrace};
@@ -107,8 +108,8 @@ pub struct Executor {
     backend_waiting: HashMap<usize, std::collections::VecDeque<Inflight>>,
     /// Backends currently executing a trace.
     backend_busy: std::collections::HashSet<usize>,
-    /// Maps (channel, dram request id) → index key of the owning request.
-    routing: HashMap<(usize, RequestId), ExecId>,
+    /// Per channel: DRAM request id → the owning request.
+    routing: Vec<IntMap<RequestId, ExecId>>,
     events: Vec<ExecEvent>,
     /// Off-DIMM I/O energy per bit for bus transfers (pJ).
     bus_pj_per_bit: f64,
@@ -165,7 +166,7 @@ impl Executor {
             inflight: Vec::new(),
             backend_waiting: HashMap::new(),
             backend_busy: std::collections::HashSet::new(),
-            routing: HashMap::new(),
+            routing: (0..n_channels).map(|_| IntMap::default()).collect(),
             events: Vec::new(),
             bus_pj_per_bit,
             lowpower_ranks: false,
@@ -490,7 +491,7 @@ impl Executor {
             };
             match accepted {
                 Some(rid) => {
-                    self.routing.insert((line.channel, rid), req.id);
+                    self.routing[line.channel].insert(rid, req.id);
                     req.outstanding += 1;
                     req.pending.swap_remove(i);
                 }
@@ -664,20 +665,24 @@ impl Executor {
     }
 
     fn process(&mut self) {
-        // Route channel completions to their owners.
-        let mut finished: HashMap<ExecId, usize> = HashMap::new();
-        for (ci, ch) in self.channels.iter_mut().enumerate() {
+        // Route channel completions to their owners. Few requests
+        // finish lines per call, so a linear list beats a map.
+        let mut finished: Vec<(ExecId, usize)> = Vec::new();
+        for (ch, routing) in self.channels.iter_mut().zip(&mut self.routing) {
             for comp in ch.drain_completions() {
-                if let Some(owner) = self.routing.remove(&(ci, comp.id)) {
-                    *finished.entry(owner).or_insert(0) += 1;
+                if let Some(owner) = routing.remove(&comp.id) {
+                    match finished.iter_mut().find(|(id, _)| *id == owner) {
+                        Some((_, n)) => *n += 1,
+                        None => finished.push((owner, 1)),
+                    }
                 }
             }
         }
 
         // Advance requests.
         let mut requests = std::mem::take(&mut self.inflight);
-        for req in &mut requests {
-            if let Some(n) = finished.get(&req.id) {
+        for &(owner, n) in &finished {
+            if let Some(req) = requests.iter_mut().find(|r| r.id == owner) {
                 req.outstanding -= n;
             }
         }

@@ -441,8 +441,12 @@ impl FlightRecorder {
 }
 
 /// Writes `contents` to `path` via a sibling temp file and an atomic
-/// rename, so readers never observe a truncated file.
+/// rename, so readers never observe a truncated file. Missing parent
+/// directories are created first.
 pub fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
@@ -547,6 +551,20 @@ mod tests {
 
     fn ddr(ch: u8, kind: DdrCmdKind) -> FlightEventKind {
         FlightEventKind::DdrCmd { channel: ch, rank: 0, bank: 3, row: 0x1a2, kind }
+    }
+
+    #[test]
+    fn write_atomic_creates_missing_parent_directories() {
+        // Report writers run from any directory: a fresh checkout has no
+        // `target/`, and the report must still land.
+        let root = std::env::temp_dir().join(format!("sdimm-write-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("nested/deeper/report.json");
+        let path = path.to_str().expect("temp path is UTF-8");
+        write_atomic(path, "{}").expect("parent directories are created");
+        assert_eq!(std::fs::read_to_string(path).expect("report written"), "{}");
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists(), "temp file renamed away");
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 
     #[test]
