@@ -192,8 +192,15 @@ pub struct DramChannel {
     bus_free_at: Cycle,
     bus_last_rank: Option<usize>,
     bus_last_write: Option<bool>,
-    /// Earliest cycle at which scheduling could possibly make progress.
+    /// Earliest cycle at which a scheduler pass could change state: a
+    /// lower bound that every pass sets as tight as it can (see
+    /// [`post_issue_wake`](Self::post_issue_wake)), so the channel does
+    /// not wake only to learn when to wake next.
     next_wake: Cycle,
+    /// Test-only reference mode: run the scheduler on every cycle,
+    /// ignoring `next_wake`.
+    #[cfg(test)]
+    poll_every_cycle: bool,
     /// Per-rank background-energy accounting mark.
     bg_mark: Vec<Cycle>,
     /// Per-rank count of queued entries (read + write) — an incremental
@@ -212,7 +219,6 @@ pub struct DramChannel {
     /// is independent of how callers split their `tick` calls.
     stall_since: Option<Cycle>,
     pending: BinaryHeap<Pending>,
-    completions: VecDeque<Completion>,
     stats: ChannelStats,
     energy: EnergyCounters,
     /// Trace recording handle; disabled by default (one branch per event).
@@ -284,8 +290,9 @@ impl DramChannel {
             bus_last_rank: None,
             bus_last_write: None,
             next_wake: 0,
+            #[cfg(test)]
+            poll_every_cycle: false,
             pending: BinaryHeap::new(),
-            completions: VecDeque::new(),
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
             sink: TraceSink::disabled(),
@@ -508,6 +515,15 @@ impl DramChannel {
 
     /// Takes all completions that have finished by `now`.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.drain_completions_into(&mut out);
+        out
+    }
+
+    /// Appends all completions that have finished by `now` to `out`, in
+    /// finish order — [`drain_completions`](Self::drain_completions)
+    /// without the allocation, for callers that reuse one buffer.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
         while let Some(p) = self.pending.peek() {
             if p.finish <= self.now {
                 // lint: panic-ok(invariant: peeked)
@@ -540,17 +556,11 @@ impl DramChannel {
                         );
                     }
                 }
-                self.completions.push_back(Completion {
-                    id: p.id,
-                    kind: p.kind,
-                    finish: p.finish,
-                    latency,
-                });
+                out.push(Completion { id: p.id, kind: p.kind, finish: p.finish, latency });
             } else {
                 break;
             }
         }
-        self.completions.drain(..).collect()
     }
 
     /// Advances simulated time by `cycles`, issuing commands as they
@@ -568,9 +578,9 @@ impl DramChannel {
             if self.now >= self.next_wake {
                 self.settle_stall();
                 self.stats.scheduler_invocations += 1;
-                if self.schedule_once() {
-                    // A command issued this cycle; the next may issue on
-                    // the following cycle.
+                self.schedule_once();
+                #[cfg(test)]
+                if self.poll_every_cycle {
                     self.next_wake = self.now.saturating_add(1);
                 }
             }
@@ -592,12 +602,10 @@ impl DramChannel {
     }
 
     /// Cycle at which the earliest in-flight request finishes (and so
-    /// becomes drainable), or `None` when nothing is in flight. Returns
-    /// `now` when already-finished completions are waiting to be drained.
+    /// becomes drainable), or `None` when nothing is in flight. A value
+    /// at or before `now` means finished completions are waiting to be
+    /// drained.
     pub fn next_completion(&self) -> Option<Cycle> {
-        if !self.completions.is_empty() {
-            return Some(self.now);
-        }
         self.pending.peek().map(|p| p.finish)
     }
 
@@ -761,23 +769,68 @@ impl DramChannel {
         self.bg_mark[rank] = self.now;
     }
 
-    /// Whether `rank` should be heading toward power-down right now.
-    fn wants_sleep(&self, rank: usize) -> bool {
-        if self.rank_queued[rank] > 0 || self.refresh_pending[rank] {
-            return false;
-        }
-        if !matches!(self.ranks[rank].power_state(), PowerState::Active) {
-            return false;
+    /// The one statement of when `rank` heads for power-down: the cycle
+    /// from which it may, or `None` while it must stay up. A rank is a
+    /// candidate only when it is active, has no queued work and owes no
+    /// refresh; it is then eligible at once when the low-power protocol
+    /// pins it down, or `idle_cycles` after its last command under
+    /// [`PowerPolicy::PowerDown`]. An eligible rank first precharges its
+    /// open banks (maintenance PRE), then drops CKE once all are closed
+    /// and `ready_at` has passed.
+    fn sleep_eligible_at(&self, rank: usize) -> Option<Cycle> {
+        let r = &self.ranks[rank];
+        if self.rank_queued[rank] > 0
+            || self.refresh_pending[rank]
+            || !matches!(r.power_state(), PowerState::Active)
+        {
+            return None;
         }
         if self.forced_down[rank] {
-            return true;
+            return Some(0);
         }
         match self.cfg.power_policy {
-            PowerPolicy::AlwaysOn => false,
+            PowerPolicy::AlwaysOn => None,
             PowerPolicy::PowerDown { idle_cycles } => {
-                self.now.saturating_sub(self.ranks[rank].last_activity()) >= idle_cycles
+                Some(r.last_activity().saturating_add(idle_cycles))
             }
         }
+    }
+
+    /// Earliest cycle at which the power policy can act on `rank`, or
+    /// `None` when it has nothing to do: dropping CKE (eligible, all
+    /// banks closed, `ready_at` passed), or — with banks open — becoming
+    /// eligible, then each maintenance PRE's `next_pre`/`ready_at` bound.
+    fn power_wake(&self, rank: usize) -> Option<Cycle> {
+        let at = self.sleep_eligible_at(rank)?;
+        let ready = self.ranks[rank].ready_at();
+        if self.rank_open_banks[rank] == 0 {
+            return Some(at.max(ready));
+        }
+        if at > self.now {
+            return Some(at);
+        }
+        let banks = self.cfg.topology.banks;
+        self.bank_cache[rank * banks..(rank + 1) * banks]
+            .iter()
+            .filter(|bc| bc.open_row != NO_ROW)
+            .map(|bc| bc.next_pre.max(ready))
+            .min()
+    }
+
+    /// Earliest cycle a refresh falls due or the power policy can act on
+    /// some rank. A rank already owing a refresh is bounded by the
+    /// refresh pass in `decide` instead of its (past) deadline.
+    fn timer_wake(&self) -> Cycle {
+        let mut wake = Cycle::MAX;
+        for (i, r) in self.ranks.iter().enumerate() {
+            if self.cfg.refresh_enabled && !self.refresh_pending[i] {
+                wake = wake.min(r.next_refresh());
+            }
+            if let Some(at) = self.power_wake(i) {
+                wake = wake.min(at);
+            }
+        }
+        wake
     }
 
     /// Applies the idle-rank power policy and wakes ranks with work.
@@ -805,22 +858,8 @@ impl DramChannel {
                     }
                 }
                 PowerState::Active => {
-                    let should_sleep = if self.forced_down[i] {
-                        !has_work
-                    } else {
-                        match self.cfg.power_policy {
-                            PowerPolicy::AlwaysOn => false,
-                            PowerPolicy::PowerDown { idle_cycles } => {
-                                !has_work
-                                    && self.now.saturating_sub(self.ranks[i].last_activity())
-                                        >= idle_cycles
-                            }
-                        }
-                    };
-                    if should_sleep
-                        && self.rank_open_banks[i] == 0
-                        && !self.refresh_pending[i]
-                        && self.now >= self.ranks[i].ready_at()
+                    if self.rank_open_banks[i] == 0
+                        && self.power_wake(i).is_some_and(|at| at <= self.now)
                     {
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
@@ -1182,9 +1221,12 @@ impl DramChannel {
 
         // Close open banks of ranks that want to power down (forced by
         // the low-power protocol or eligible under the idle policy) so
-        // they can actually drop CKE.
+        // they can actually drop CKE. A blocked precharge is bounded by
+        // `power_wake` below.
         for i in 0..self.ranks.len() {
-            if self.rank_open_banks[i] == 0 || !self.wants_sleep(i) {
+            if self.rank_open_banks[i] == 0
+                || self.sleep_eligible_at(i).is_none_or(|at| at > self.now)
+            {
                 continue;
             }
             let base = i * self.cfg.topology.banks;
@@ -1194,7 +1236,6 @@ impl DramChannel {
                     if ready <= self.now {
                         return Decision::MaintenancePre { rank: i, bank: b };
                     }
-                    best_retry = best_retry.min(ready);
                 }
             }
         }
@@ -1205,78 +1246,107 @@ impl DramChannel {
         // are starved only in drain mode, and the priority cannot flip
         // back mid-drain just because no write command is issuable this
         // cycle. Outside drain mode, reads always go first and writes
-        // issue only when no read is queued.
-        if self.write_q.len() >= self.cfg.write_drain.hi {
-            self.draining = true;
-        } else if self.write_q.len() <= self.cfg.write_drain.lo {
-            self.draining = false;
-        }
-        if self.draining {
-            if let Some(d) = self.scan_queue(true, &mut best_retry) {
-                return d;
-            }
-        } else {
-            if let Some(d) = self.scan_queue(false, &mut best_retry) {
-                return d;
-            }
-            if self.read_q.is_empty() {
-                if let Some(d) = self.scan_queue(true, &mut best_retry) {
-                    return d;
-                }
-            }
+        // issue only when no read is queued: a pass reads exactly one
+        // queue.
+        self.draining = self.drain_mode();
+        let write = self.draining || self.read_q.is_empty();
+        if let Some(d) = self.scan_queue(write, &mut best_retry) {
+            return d;
         }
 
         // Nothing issuable: wake for the next refresh deadline and for the
-        // moment an idle rank becomes eligible to power down.
-        if self.cfg.refresh_enabled {
-            for r in &self.ranks {
-                best_retry = best_retry.min(r.next_refresh());
-            }
-        }
-        for (i, r) in self.ranks.iter().enumerate() {
-            if matches!(r.power_state(), PowerState::Active) {
-                let eligible_at = match (self.forced_down[i], self.cfg.power_policy) {
-                    (true, _) => Some(self.now.saturating_add(1)),
-                    (false, PowerPolicy::PowerDown { idle_cycles }) => {
-                        Some(r.last_activity().saturating_add(idle_cycles))
-                    }
-                    (false, PowerPolicy::AlwaysOn) => None,
-                };
-                if let Some(at) = eligible_at {
-                    best_retry = best_retry.min(at.max(self.now.saturating_add(1)));
-                }
-            }
-        }
-        if best_retry == Cycle::MAX {
-            // Queues empty with nothing scheduled: sleep a long horizon.
-            best_retry = self.now.saturating_add(4096);
-        }
-        Decision::Idle { retry_at: best_retry }
+        // moment the power policy can act on a rank.
+        Decision::Idle { retry_at: best_retry.min(self.timer_wake()) }
     }
 
-    /// Attempts to issue one command at the current cycle. Returns whether
-    /// a command was issued; updates `next_wake` otherwise.
-    fn schedule_once(&mut self) -> bool {
+    /// The write-drain mode the next pass uses: on at the high
+    /// watermark, off at the low one, unchanged in between.
+    fn drain_mode(&self) -> bool {
+        let n = self.write_q.len();
+        if n >= self.cfg.write_drain.hi {
+            true
+        } else if n <= self.cfg.write_drain.lo {
+            false
+        } else {
+            self.draining
+        }
+    }
+
+    /// The next wake after a queue command (CAS, ACT or PRE) issued at
+    /// `now`: the bound an idle pass at `now` would compute on the state
+    /// the command left. The queue the next pass reads is walked afresh
+    /// — the issuing pass's own bounds for other banks went stale when
+    /// the command moved the bus, tCCD, tRRD and tFAW windows — and any
+    /// candidate already issuable wakes on the next cycle. Refresh
+    /// deadlines and power eligibility come from
+    /// [`timer_wake`](Self::timer_wake): a CAS can drain a rank's last
+    /// queued entry. Two cases wake on the next cycle instead: a rank
+    /// owing a refresh (the refresh pass bounds it there), and a write
+    /// CAS that crossed the low drain watermark — drain mode is state
+    /// each pass carries forward, and the flip must land on the next
+    /// cycle, before any write enqueued later can re-enter the
+    /// hysteresis band.
+    fn post_issue_wake(&self) -> Cycle {
+        let next = self.now.saturating_add(1);
+        if self.refresh_pending.contains(&true) || self.drain_mode() != self.draining {
+            return next;
+        }
+        let mut wake = self.timer_wake();
+        let write = self.draining || self.read_q.is_empty();
+        if self.scan_queue(write, &mut wake).is_some() {
+            return next;
+        }
+        self.wake_at(wake)
+    }
+
+    /// `next_wake` for a pass whose bound is `retry`: never before the
+    /// next cycle, and a long horizon when nothing is bounded at all
+    /// (no queued work, no refresh, no power policy to apply).
+    fn wake_at(&self, retry: Cycle) -> Cycle {
+        if retry == Cycle::MAX {
+            self.now.saturating_add(4096)
+        } else {
+            retry.max(self.now.saturating_add(1))
+        }
+    }
+
+    /// Runs one scheduler pass at the current cycle: issues at most one
+    /// command and sets `next_wake`.
+    fn schedule_once(&mut self) {
         #[cfg(debug_assertions)]
         self.debug_validate_caches();
         self.manage_power();
         let decision = self.decide();
-        if matches!(decision, Decision::Idle { .. }) {
+        if let Decision::Idle { retry_at } = decision {
             // The hot no-issue path: skip the timing clone below.
-            if let Decision::Idle { retry_at } = decision {
-                self.next_wake = retry_at.max(self.now.saturating_add(1));
-                // Blocked with work queued: start (or continue) a stall
-                // interval. Cycles accrue in `settle_stall` as time
-                // actually elapses, so totals are tick-split-invariant.
-                if self.read_q.is_empty() && self.write_q.is_empty() {
-                    self.stall_since = None;
-                } else if self.stall_since.is_none() {
-                    self.stall_since = Some(self.now);
-                }
+            self.next_wake = self.wake_at(retry_at);
+            // Blocked with work queued: start (or continue) a stall
+            // interval. Cycles accrue in `settle_stall` as time
+            // actually elapses, so totals are tick-split-invariant.
+            if self.read_q.is_empty() && self.write_q.is_empty() {
+                self.stall_since = None;
+            } else if self.stall_since.is_none() {
+                self.stall_since = Some(self.now);
             }
-            return false;
+            return;
         }
-        self.stall_since = None;
+        self.issue(decision);
+        self.next_wake = match decision {
+            Decision::Cas { .. } | Decision::Act { .. } | Decision::Pre { .. } => {
+                self.post_issue_wake()
+            }
+            _ => self.now.saturating_add(1),
+        };
+        // Passes skipped after the issue find nothing, so a stall
+        // interval opens on the next cycle, as the first of those
+        // passes would have opened it, when work remains queued.
+        let next = self.now.saturating_add(1);
+        let queued = !self.read_q.is_empty() || !self.write_q.is_empty();
+        self.stall_since = (self.next_wake > next && queued).then_some(next);
+    }
+
+    /// Applies an issuing decision at the current cycle.
+    fn issue(&mut self, decision: Decision) {
         let t = self.cfg.timing.clone();
         match decision {
             Decision::Refresh { rank } => {
@@ -1301,7 +1371,6 @@ impl DramChannel {
                         self.now,
                     );
                 }
-                true
             }
             Decision::MaintenancePre { rank, bank } => {
                 self.account_bg(rank);
@@ -1310,12 +1379,8 @@ impl DramChannel {
                 self.ranks[rank].record_activity(self.now);
                 self.rank_open_banks[rank] -= 1;
                 self.sync_bank_cache(rank, bank);
-                true
             }
-            Decision::Cas { write, idx } => {
-                self.issue_cas(write, idx);
-                true
-            }
+            Decision::Cas { write, idx } => self.issue_cas(write, idx),
             Decision::Act { write, idx } => {
                 let e = if write { self.write_q[idx] } else { self.read_q[idx] };
                 self.account_bg(e.coords.rank);
@@ -1356,7 +1421,6 @@ impl DramChannel {
                     }
                 }
                 self.sink.instant("dram.cmd", "act", self.trace_pid, self.trace_tid, self.now);
-                true
             }
             Decision::Pre { write, idx } => {
                 let e = if write { self.write_q[idx] } else { self.read_q[idx] };
@@ -1374,7 +1438,6 @@ impl DramChannel {
                     self.trace_tid,
                     self.now,
                 );
-                true
             }
             Decision::Idle { .. } => unreachable!("handled before the issue arms"),
         }
@@ -1458,6 +1521,7 @@ impl DramChannel {
 mod tests {
     use super::*;
     use crate::config::{ChannelConfig, PowerPolicy, Timing};
+    use crate::power::EnergyCounters;
     use crate::spec::DramStandard;
     use proptest::prelude::*;
 
@@ -1969,6 +2033,132 @@ mod tests {
             }
             drive_differential(cfg, &ops);
         }
+    }
+
+    /// One step of wake-differential traffic: `(op, slot, row pick,
+    /// column, gap)`. Ops 0–5 enqueue a read, 6–8 a write (one line on
+    /// one of five banks over two ranks, as in [`drive_differential`]),
+    /// 9 pins rank `slot % 2` down and 10 wakes it; then the channels
+    /// tick `gap` cycles.
+    type WakeOp = (u8, usize, usize, usize, u64);
+
+    /// Everything a channel did that another layer can observe: its
+    /// command stream, completions, end cycle, statistics (scheduler
+    /// invocations excepted: counting them is the point of the exact
+    /// wake) and energy counters.
+    type Observed =
+        (Vec<crate::cmdlog::CmdRecord>, Vec<Completion>, Cycle, ChannelStats, EnergyCounters);
+
+    fn run_wake_ops(cfg: ChannelConfig, ops: &[WakeOp], poll: bool) -> (Observed, u64) {
+        let mut ch = DramChannel::new(cfg);
+        ch.poll_every_cycle = poll;
+        let log = CmdLog::enabled();
+        ch.set_cmd_log(log.clone());
+        let topo = ch.config().topology.clone();
+        let mut done = Vec::new();
+        for &(op, slot, row_pick, col, gap) in ops {
+            let rank = slot % 2;
+            let row = if row_pick < 7 { 0 } else { row_pick };
+            let addr = addr_of(&ch, rank, (slot * 3) % topo.banks, row, col % topo.lines_per_row());
+            match op {
+                0..=5 => drop(ch.enqueue_read(addr)),
+                6..=8 => drop(ch.enqueue_write(addr)),
+                9 => ch.force_rank_down(rank),
+                _ => ch.wake_rank(rank),
+            }
+            ch.tick(gap);
+            ch.drain_completions_into(&mut done);
+        }
+        done.extend(ch.run_until_idle(10_000_000));
+        assert!(ch.is_idle(), "wake-differential traffic must drain");
+        // Idle tail: refresh and power-down edges with no work queued.
+        ch.tick(3_000);
+        let mut stats = ch.stats().clone();
+        let invocations = std::mem::take(&mut stats.scheduler_invocations);
+        let energy = ch.energy_counters();
+        ((log.take(), done, ch.now(), stats, energy), invocations)
+    }
+
+    /// Asserts that the exact-wake channel behaves exactly like the
+    /// poll-every-cycle reference on `ops`, and runs no more scheduler
+    /// passes. Returns both pass counts.
+    fn assert_wake_differential(cfg: ChannelConfig, ops: &[WakeOp]) -> (u64, u64) {
+        let (exact, exact_passes) = run_wake_ops(cfg.clone(), ops, false);
+        let (reference, reference_passes) = run_wake_ops(cfg, ops, true);
+        if let Some(i) =
+            (0..exact.0.len().min(reference.0.len())).find(|&i| exact.0[i] != reference.0[i])
+        {
+            panic!(
+                "command streams diverge at #{i}: exact-wake {:?}, poll-every-cycle {:?}",
+                exact.0[i], reference.0[i]
+            );
+        }
+        assert_eq!(exact.0.len(), reference.0.len(), "command counts differ");
+        assert_eq!(exact.1, reference.1, "completions differ");
+        assert_eq!(exact.2, reference.2, "end cycles differ");
+        assert_eq!(exact.3, reference.3, "statistics differ");
+        assert_eq!(exact.4, reference.4, "energy counters differ");
+        assert!(exact_passes <= reference_passes);
+        (exact_passes, reference_passes)
+    }
+
+    fn wake_cfg(std_pick: usize, refresh: bool, idle: Option<u64>, fcfs: bool) -> ChannelConfig {
+        let mut cfg = DIFF_STANDARDS[std_pick].spec().main_channel();
+        cfg.refresh_enabled = refresh;
+        if let Some(idle_cycles) = idle {
+            cfg.power_policy = PowerPolicy::PowerDown { idle_cycles };
+        }
+        if fcfs {
+            cfg.scheduler = SchedulerPolicy::Fcfs;
+        }
+        cfg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Exact wake-ups change nothing but the pass count: random
+        /// reads and writes interleaved with rank pinning and waking,
+        /// on every standard, refresh on and off, both power policies
+        /// and both scheduler policies, issue the same commands at the
+        /// same cycles as a scheduler run on every cycle.
+        #[test]
+        fn exact_wake_matches_poll_every_cycle(
+            std_pick in 0usize..4,
+            refresh in any::<bool>(),
+            idle in 0u64..300,
+            fcfs in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..11, 0usize..5, 0usize..12, 0usize..128, 0u64..24),
+                1..400,
+            ),
+        ) {
+            let idle = (idle > 0).then_some(idle);
+            assert_wake_differential(wake_cfg(std_pick, refresh, idle, fcfs), &ops);
+        }
+    }
+
+    #[test]
+    fn exact_wake_matches_poll_every_cycle_under_saturating_traffic() {
+        // Dense traffic on DDR4 with refresh and a short idle power-down
+        // policy: the write queue crosses both drain watermarks, heads
+        // age past the starvation limit, and one rank is pinned down and
+        // woken throughout — while the exact wake runs far fewer passes.
+        let mut state = 0x3a4e_u64;
+        let ops: Vec<WakeOp> = (0..4_000)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = (state >> 33) as usize;
+                let op = match i % 97 {
+                    0 => 9,
+                    50 => 10,
+                    _ => ((r >> 20) % 9) as u8,
+                };
+                (op, r % 5, (r >> 3) % 12, (r >> 7) % 128, u64::from(i % 3 == 0) * 8)
+            })
+            .collect();
+        let (exact, reference) = assert_wake_differential(wake_cfg(1, true, Some(40), false), &ops);
+        assert!(exact * 2 < reference, "exact wake ran {exact} passes, polling {reference}");
     }
 
     #[test]

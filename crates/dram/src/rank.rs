@@ -335,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "power-down with open banks"))]
+    #[should_panic(expected = "power-down with open banks")]
     fn power_down_with_open_bank_panics_in_debug() {
         let tm = t();
         let mut r = Rank::new(8, 1, &tm);

@@ -16,7 +16,7 @@ use dram_sim::channel::DramChannel;
 use dram_sim::config::{ChannelConfig, Cycle};
 use dram_sim::intmap::IntMap;
 use dram_sim::power::EnergyBreakdown;
-use dram_sim::request::RequestId;
+use dram_sim::request::{Completion, RequestId};
 use sdimm::trace::{Activity, RequestTrace};
 use sdimm_telemetry::{
     BackendDecision, CycleProfiler, FlightEventKind, FlightRecorder, MetricsRegistry, TraceSink,
@@ -104,6 +104,11 @@ pub struct Executor {
     now: Cycle,
     next_id: u64,
     inflight: Vec<Inflight>,
+    /// Scratch buffers `process` reuses across calls: drained channel
+    /// completions, lines finished per owner, and the next `inflight`.
+    completed: Vec<Completion>,
+    finished: Vec<(ExecId, usize)>,
+    spare_inflight: Vec<Inflight>,
     /// Traces waiting for their serialized ORAM backend to free up.
     backend_waiting: HashMap<usize, std::collections::VecDeque<Inflight>>,
     /// Backends currently executing a trace.
@@ -164,6 +169,9 @@ impl Executor {
             now: 0,
             next_id: 0,
             inflight: Vec::new(),
+            completed: Vec::new(),
+            finished: Vec::new(),
+            spare_inflight: Vec::new(),
             backend_waiting: HashMap::new(),
             backend_busy: std::collections::HashSet::new(),
             routing: (0..n_channels).map(|_| IntMap::default()).collect(),
@@ -667,9 +675,11 @@ impl Executor {
     fn process(&mut self) {
         // Route channel completions to their owners. Few requests
         // finish lines per call, so a linear list beats a map.
-        let mut finished: Vec<(ExecId, usize)> = Vec::new();
+        let finished = &mut self.finished;
+        finished.clear();
         for (ch, routing) in self.channels.iter_mut().zip(&mut self.routing) {
-            for comp in ch.drain_completions() {
+            ch.drain_completions_into(&mut self.completed);
+            for comp in self.completed.drain(..) {
                 if let Some(owner) = routing.remove(&comp.id) {
                     match finished.iter_mut().find(|(id, _)| *id == owner) {
                         Some((_, n)) => *n += 1,
@@ -679,16 +689,17 @@ impl Executor {
             }
         }
 
-        // Advance requests.
+        // Advance requests, in `inflight` order: it sets the order in
+        // which their lines reach the channel queues.
         let mut requests = std::mem::take(&mut self.inflight);
-        for &(owner, n) in &finished {
+        for &(owner, n) in &self.finished {
             if let Some(req) = requests.iter_mut().find(|r| r.id == owner) {
                 req.outstanding -= n;
             }
         }
         let now = self.now;
-        let mut still_running = Vec::with_capacity(requests.len());
-        for mut req in requests {
+        let mut still_running = std::mem::take(&mut self.spare_inflight);
+        for mut req in requests.drain(..) {
             if !req.pending.is_empty() {
                 self.pump_pending(&mut req);
             }
@@ -781,6 +792,7 @@ impl Executor {
             }
         }
         self.inflight = still_running;
+        self.spare_inflight = requests;
         self.exec_stats.max_inflight = self.exec_stats.max_inflight.max(self.inflight.len() as u64);
         if self.sink.is_enabled() {
             self.sink.counter("exec", "inflight", self.trace_pid, now, self.inflight.len() as u64);
