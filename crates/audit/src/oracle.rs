@@ -31,7 +31,8 @@ use oram::{FreecursiveOram, PathOram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdimm::{
-    IndepSplitConfig, IndepSplitOram, IndependentConfig, IndependentOram, SplitConfig, SplitOram,
+    IndepSplitConfig, IndepSplitOram, IndependentConfig, IndependentOram, Protocol, SplitConfig,
+    SplitOram,
 };
 
 /// The trivially-correct reference memory.
@@ -195,18 +196,18 @@ pub fn check_protocol(
         }
         ProtocolKind::Independent { sdimms } => {
             let icfg = IndependentConfig::new(*sdimms, cfg);
-            let oram = IndependentOram::new(icfg, blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
+            let mut oram = IndependentOram::new(icfg, blocks, seed);
+            check_sdimm_protocol(kind, cfg, blocks, steps, seed, &mut oram)
         }
         ProtocolKind::Split { ways } => {
             let scfg = SplitConfig::new(*ways, cfg);
-            let oram = SplitOram::new(scfg, blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
+            let mut oram = SplitOram::new(scfg, blocks, seed);
+            check_sdimm_protocol(kind, cfg, blocks, steps, seed, &mut oram)
         }
         ProtocolKind::IndepSplit { groups, ways } => {
             let iscfg = IndepSplitConfig::new(*groups, *ways, cfg);
-            let oram = IndepSplitOram::new(iscfg, blocks, seed);
-            check_request_trace_protocol(kind, cfg, blocks, steps, seed, oram)
+            let mut oram = IndepSplitOram::new(iscfg, blocks, seed);
+            check_sdimm_protocol(kind, cfg, blocks, steps, seed, &mut oram)
         }
     }
 }
@@ -229,37 +230,80 @@ pub fn check_all_protocols(
     kinds.iter().map(|k| check_protocol(k, cfg, blocks, steps, seed)).collect()
 }
 
-/// Deterministic (id, op) stream shared by all drivers.
-fn next_request(rng: &mut StdRng, blocks: u64, step: usize) -> (u64, Op, Vec<u8>, usize) {
-    let id = rng.gen_range(0..blocks);
-    let write = rng.gen_bool(0.5);
-    let op = if write { Op::Write } else { Op::Read };
-    (id, op, Vec::new(), step)
-}
-
-fn mismatch(kind: &ProtocolKind, step: usize, block: u64, detail: String) -> OracleMismatch {
-    OracleMismatch { protocol: kind.to_string(), step, block, detail }
-}
-
-fn bytes_differ(
-    kind: &ProtocolKind,
+/// One request of the deterministic stream every driver replays.
+struct Request {
     step: usize,
     id: u64,
-    got: &[u8],
-    want: &[u8],
-) -> OracleMismatch {
-    mismatch(
-        kind,
-        step,
-        id,
-        format!(
-            "returned {} bytes {:02x?}…, shadow expects {} bytes {:02x?}…",
-            got.len(),
-            &got[..got.len().min(8)],
-            want.len(),
-            &want[..want.len().min(8)],
-        ),
-    )
+    op: Op,
+    /// The bytes a write stores (ignored by reads).
+    data: Vec<u8>,
+}
+
+impl Request {
+    fn block(&self) -> BlockId {
+        BlockId(self.id)
+    }
+
+    fn new_data(&self) -> Option<&[u8]> {
+        (self.op == Op::Write).then_some(self.data.as_slice())
+    }
+}
+
+/// The deterministic request stream shared by all drivers.
+fn requests(
+    cfg: &OramConfig,
+    blocks: u64,
+    steps: usize,
+    seed: u64,
+) -> impl Iterator<Item = Request> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
+    let len = cfg.block_bytes;
+    (0..steps).map(move |step| {
+        let id = rng.gen_range(0..blocks);
+        let op = if rng.gen_bool(0.5) { Op::Write } else { Op::Read };
+        Request { step, id, op, data: pattern(id, step, len) }
+    })
+}
+
+/// One driver's lockstep state: the shadow memory, the write count, and
+/// mismatch reports naming the protocol.
+struct Lockstep<'a> {
+    kind: &'a ProtocolKind,
+    shadow: ShadowMem,
+    writes: usize,
+}
+
+impl<'a> Lockstep<'a> {
+    fn new(kind: &'a ProtocolKind, cfg: &OramConfig) -> Self {
+        Lockstep { kind, shadow: ShadowMem::new(cfg.block_bytes), writes: 0 }
+    }
+
+    /// Applies `r` to the shadow and compares the protocol's answer.
+    fn check_answer(&mut self, r: &Request, got: &[u8]) -> Result<(), OracleMismatch> {
+        self.writes += usize::from(r.op == Op::Write);
+        let want = self.shadow.apply(r.id, r.op, r.new_data());
+        if got == want {
+            return Ok(());
+        }
+        Err(self.mismatch(
+            r,
+            format!(
+                "returned {} bytes {:02x?}…, shadow expects {} bytes {:02x?}…",
+                got.len(),
+                &got[..got.len().min(8)],
+                want.len(),
+                &want[..want.len().min(8)],
+            ),
+        ))
+    }
+
+    fn mismatch(&self, r: &Request, detail: String) -> OracleMismatch {
+        OracleMismatch { protocol: self.kind.to_string(), step: r.step, block: r.id, detail }
+    }
+
+    fn report(self, steps: usize, stash_peak: usize) -> OracleReport {
+        OracleReport { protocol: self.kind.to_string(), steps, writes: self.writes, stash_peak }
+    }
 }
 
 fn check_path_oram(
@@ -274,42 +318,24 @@ fn check_path_oram(
     if sealed {
         oram.enable_sealing([0x5D; 16]);
     }
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
+    let mut ls = Lockstep::new(kind, cfg);
     let mut counters: HashMap<BucketIdx, u64> = HashMap::new();
-    let mut writes = 0;
 
-    for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
-
+    for r in requests(cfg, blocks, steps, seed) {
         // PosMap coherence: capture the claimed leaf before the access.
-        let claimed = oram.leaf_of(BlockId(id));
-        let (got, plan) = oram.access(BlockId(id), op, new_data);
-        let want = shadow.apply(id, op, new_data);
-        if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
+        let claimed = oram.leaf_of(r.block());
+        let (got, plan) = oram.access(r.block(), r.op, r.new_data());
+        ls.check_answer(&r, &got)?;
         if plan.leaf != claimed {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
+            return Err(ls.mismatch(
+                &r,
                 format!("fetched path of {} but the posmap claimed {claimed}", plan.leaf),
             ));
         }
         let path = oram.layout().path_lines(plan.leaf);
         if plan.read_lines != path {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
+            return Err(ls.mismatch(
+                &r,
                 format!(
                     "fetched {} lines but the claimed path {} has {}",
                     plan.read_lines.len(),
@@ -324,10 +350,8 @@ fn check_path_oram(
             oram.background_evict();
         }
         if oram.stash_len() > cfg.stash_limit {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
+            return Err(ls.mismatch(
+                &r,
                 format!(
                     "stash at {} after background eviction (limit {})",
                     oram.stash_len(),
@@ -343,22 +367,20 @@ fn check_path_oram(
                 let counter = tree.raw(idx).expect("listed index").counter;
                 let prev = counters.insert(idx, counter).unwrap_or(0);
                 if counter < prev {
-                    return Err(mismatch(
-                        kind,
-                        step,
-                        id,
+                    return Err(ls.mismatch(
+                        &r,
                         format!("bucket {idx:?} counter went backwards: {prev} → {counter}"),
                     ));
                 }
             }
         }
 
-        if step % INVARIANT_PERIOD == 0 {
+        if r.step % INVARIANT_PERIOD == 0 {
             oram.check_invariant();
         }
     }
     oram.check_invariant();
-    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.stash_peak() })
+    Ok(ls.report(steps, oram.stash_peak()))
 }
 
 fn check_freecursive(
@@ -375,41 +397,23 @@ fn check_freecursive(
         // posmap block, exercising the write-back path.
         f.set_plb(Plb::new(16, 4));
     }
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
-    let mut writes = 0;
+    let mut ls = Lockstep::new(kind, cfg);
 
-    for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
-        let (got, plans) = f.request(id, op, new_data);
-        let want = shadow.apply(id, op, new_data);
-        if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
+    for r in requests(cfg, blocks, steps, seed) {
+        let (got, plans) = f.request(r.id, r.op, r.new_data());
+        ls.check_answer(&r, &got)?;
         for plan in &plans {
             let path = f.backend().layout().path_lines(plan.leaf);
             if plan.read_lines != path {
-                return Err(mismatch(
-                    kind,
-                    step,
-                    id,
-                    format!("plan fetched lines off the path of {}", plan.leaf),
-                ));
+                return Err(
+                    ls.mismatch(&r, format!("plan fetched lines off the path of {}", plan.leaf))
+                );
             }
         }
         // `request` relieves stash pressure before returning.
         if f.backend().stash_len() > cfg.stash_limit {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
+            return Err(ls.mismatch(
+                &r,
                 format!(
                     "stash at {} after a fully-relieved request (limit {})",
                     f.backend().stash_len(),
@@ -417,111 +421,48 @@ fn check_freecursive(
                 ),
             ));
         }
-        if step % INVARIANT_PERIOD == 0 {
+        if r.step % INVARIANT_PERIOD == 0 {
             f.backend().check_invariant();
         }
     }
     f.backend().check_invariant();
-    Ok(OracleReport {
-        protocol: kind.to_string(),
-        steps,
-        writes,
-        stash_peak: f.backend().stash_peak(),
-    })
+    Ok(ls.report(steps, f.backend().stash_peak()))
 }
 
-/// Shared driver for the three SDIMM protocols, which expose the same
-/// `access(id, op, data) -> (bytes, RequestTrace)` shape.
-trait AccessOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8>;
-    fn invariants(&self);
-    fn peak(&self) -> usize;
-}
-
-impl AccessOram for IndependentOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariants();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-impl AccessOram for SplitOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariant();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-impl AccessOram for IndepSplitOram {
-    fn do_access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> Vec<u8> {
-        self.access(id, op, new_data).0
-    }
-    fn invariants(&self) {
-        self.check_invariants();
-    }
-    fn peak(&self) -> usize {
-        self.stash_peak()
-    }
-}
-
-fn check_request_trace_protocol<O: AccessOram>(
+/// Shared driver for the three SDIMM protocols, through the
+/// [`Protocol`] interface the system model plans with.
+fn check_sdimm_protocol(
     kind: &ProtocolKind,
     cfg: &OramConfig,
     blocks: u64,
     steps: usize,
     seed: u64,
-    mut oram: O,
+    oram: &mut dyn Protocol,
 ) -> Result<OracleReport, OracleMismatch> {
-    let mut shadow = ShadowMem::new(cfg.block_bytes);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DDC0FFE);
-    let mut writes = 0;
-
-    for step in 0..steps {
-        let (id, op, _, _) = next_request(&mut rng, blocks, step);
-        let data = pattern(id, step, cfg.block_bytes);
-        let new_data = if op == Op::Write {
-            writes += 1;
-            Some(data.as_slice())
-        } else {
-            None
-        };
-        let got = oram.do_access(BlockId(id), op, new_data);
-        let want = shadow.apply(id, op, new_data);
-        if got != want {
-            return Err(bytes_differ(kind, step, id, &got, &want));
-        }
+    let mut ls = Lockstep::new(kind, cfg);
+    for r in requests(cfg, blocks, steps, seed) {
+        let (got, _) = oram.access(r.block(), r.op, r.new_data());
+        ls.check_answer(&r, &got)?;
         // These protocols relieve stash pressure with probabilistic
         // forced drains, so the bound here is an explosion guard rather
         // than the hard limit.
-        if oram.peak() > cfg.stash_limit * STASH_BLOWUP {
-            return Err(mismatch(
-                kind,
-                step,
-                id,
+        if oram.stash_peak() > cfg.stash_limit * STASH_BLOWUP {
+            return Err(ls.mismatch(
+                &r,
                 format!(
                     "stash peak {} exceeded the {}× explosion guard (limit {})",
-                    oram.peak(),
+                    oram.stash_peak(),
                     STASH_BLOWUP,
                     cfg.stash_limit
                 ),
             ));
         }
-        if step % INVARIANT_PERIOD == 0 {
-            oram.invariants();
+        if r.step % INVARIANT_PERIOD == 0 {
+            oram.check_invariants();
         }
     }
-    oram.invariants();
-    Ok(OracleReport { protocol: kind.to_string(), steps, writes, stash_peak: oram.peak() })
+    oram.check_invariants();
+    Ok(ls.report(steps, oram.stash_peak()))
 }
 
 #[cfg(test)]

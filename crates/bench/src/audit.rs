@@ -1,23 +1,20 @@
-//! `--audit` routing for the figure binaries.
+//! `--audit` for the figure binaries.
 //!
-//! When the flag is absent this is a zero-cost pass-through to
-//! [`harness::run_matrix_traced`]. When present, every cell's DRAM
-//! command streams are replayed through the differential DDR3 auditor
-//! as it finishes, and each ORAM protocol kind appearing in the matrix
-//! is additionally lockstep-checked against a shadow memory. Any
+//! [`run_matrix`](crate::harness::run_matrix) replays every cell's DRAM
+//! command streams through the differential DDR3 auditor as the cell
+//! finishes ([`audit_cell`]), then [`conclude`] lockstep-checks each ORAM
+//! protocol kind appearing in the matrix against a shadow memory. Any
 //! violation fails the process (exit 1); under the `audit-strict`
 //! feature it aborts at the first DDR violation after dumping the
 //! Chrome trace for Perfetto triage.
 
 use std::collections::HashSet;
 
+use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_audit::oracle::{check_protocol, ProtocolKind};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::MachineKind;
+use sdimm_system::runner::Capture;
 use sdimm_telemetry::Instruments;
-
-use crate::cli::TelemetryArgs;
-use crate::harness::{self, Cell};
-use crate::scale::Scale;
 
 /// Tree depth of the oracle's lockstep runs: deep enough to exercise
 /// recursion and eviction, small enough to stay a per-run rounding
@@ -28,36 +25,102 @@ const ORACLE_LEVELS: u32 = 10;
 const ORACLE_BLOCKS: u64 = 512;
 const ORACLE_STEPS: usize = 300;
 
-/// Runs the matrix, honoring `--audit`: pass-through when the flag is
-/// off; full differential audit (DDR replay + ORAM oracle) when on.
-///
-/// On a violation, prints every finding and exits with status 1 so an
-/// audited figure run can gate CI. With the `audit-strict` feature the
-/// first DDR violation aborts immediately via
-/// [`sdimm_audit::strict::abort_with_trace`].
-pub fn run_matrix_maybe_audited(
-    args: &TelemetryArgs,
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
-    instruments: &Instruments,
-    pid_base: u32,
-) -> Vec<Cell> {
-    if !args.audit {
-        return harness::run_matrix_traced(
-            workload_names,
-            kinds,
-            scale,
-            make_cfg,
-            instruments,
-            pid_base,
-        );
+/// Aggregate result of replaying a matrix's DRAM command streams
+/// through the differential DDR3 auditor.
+#[derive(Debug, Clone, Default)]
+pub struct DdrAuditLog {
+    /// Matrix cells audited.
+    pub cells: u64,
+    /// DDR commands replayed across every channel of every cell.
+    pub commands: u64,
+    /// Refresh commands observed (a zero here on a long run means the
+    /// capture itself is broken — refresh is always on in the machines).
+    pub refreshes: u64,
+    /// One formatted line per violating cell (empty on a clean matrix).
+    pub violations: Vec<String>,
+    /// Flight-recorder black-box dumps written for violating cells
+    /// (one formatted `path` line per dump; empty on a clean matrix).
+    pub blackbox_dumps: Vec<String>,
+}
+
+impl DdrAuditLog {
+    /// Adds another log's counts and findings to this one.
+    pub fn absorb(&mut self, other: DdrAuditLog) {
+        self.cells += other.cells;
+        self.commands += other.commands;
+        self.refreshes += other.refreshes;
+        self.violations.extend(other.violations);
+        self.blackbox_dumps.extend(other.blackbox_dumps);
     }
+}
 
-    let (cells, ddr) =
-        harness::run_matrix_audited(workload_names, kinds, scale, make_cfg, instruments, pid_base);
+/// Replays one cell's captured command streams through [`DdrAuditor`].
+/// A violating channel gets a black box rebuilt from the captured
+/// stream, dumped under the flight-recorder prefix (or
+/// `audit-violation-pid<N>`); under `audit-strict` the run stops *at*
+/// the violation, black box first.
+#[cfg_attr(feature = "audit-strict", allow(unused_variables))]
+pub fn audit_cell(
+    capture: &Capture,
+    cell: &str,
+    pid: u32,
+    instruments: &Instruments,
+) -> DdrAuditLog {
+    let mut log = DdrAuditLog { cells: 1, ..DdrAuditLog::default() };
+    for (ch, stream) in capture.streams.iter().enumerate() {
+        match DdrAuditor::check_stream_indexed(&capture.channel_cfg, stream) {
+            Ok(summary) => {
+                log.commands += summary.commands;
+                log.refreshes += summary.refreshes;
+            }
+            Err((idx, v)) => {
+                let line = format!("{cell} channel {ch}: {v}");
+                // Black box from the captured stream, not the live
+                // per-cell ring: the context window is guaranteed present
+                // even if the cell's ring was disabled or had wrapped past
+                // the offending commands.
+                let recorder = violation_recorder(
+                    stream,
+                    ch.min(u8::MAX as usize) as u8,
+                    idx,
+                    BLACKBOX_CONTEXT,
+                );
+                #[cfg(feature = "audit-strict")]
+                sdimm_audit::strict::abort_with_blackbox(&instruments.sink, &recorder, &line);
+                #[cfg(not(feature = "audit-strict"))]
+                {
+                    let prefix = if instruments.flight.is_enabled() {
+                        format!("{}-violation-pid{pid}", instruments.flight.prefix())
+                    } else {
+                        format!("audit-violation-pid{pid}")
+                    };
+                    if recorder.arm_dump() {
+                        match recorder.dump_to_files(&prefix, &line, pid) {
+                            Some(Ok((txt, json))) => {
+                                log.blackbox_dumps.push(txt);
+                                log.blackbox_dumps.push(json);
+                            }
+                            Some(Err(e)) => {
+                                log.blackbox_dumps.push(format!("(dump to {prefix} failed: {e})"))
+                            }
+                            None => {}
+                        }
+                    }
+                    log.violations.push(line);
+                }
+            }
+        }
+    }
+    log
+}
 
+/// Reports a matrix's DDR audit, runs one oracle lockstep check per
+/// distinct protocol in `kinds`, and exits with status 1 on any
+/// finding so an audited figure run can gate CI. With the
+/// `audit-strict` feature the first finding aborts immediately via
+/// [`sdimm_audit::strict::abort_with_trace`].
+#[cfg_attr(not(feature = "audit-strict"), allow(unused_variables))]
+pub fn conclude(ddr: &DdrAuditLog, kinds: &[MachineKind], instruments: &Instruments) {
     let mut failed = false;
     for v in &ddr.violations {
         eprintln!("audit: DDR violation: {v}");
@@ -117,7 +180,6 @@ pub fn run_matrix_maybe_audited(
         ddr.refreshes,
         seen.len()
     );
-    cells
 }
 
 /// The oracle configuration matching a machine kind, if it has an ORAM.

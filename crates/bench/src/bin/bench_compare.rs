@@ -231,14 +231,7 @@ fn sim_benchmarks() -> Vec<Measurement> {
         ("sim_quick_indep2_1ch", MachineKind::Independent { sdimms: 2, channels: 1 }),
         ("sim_quick_split2_1ch", MachineKind::Split { ways: 2, channels: 1 }),
     ] {
-        let cfg = SystemConfig {
-            kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard: DramStandard::default(),
-            low_power: false,
-            seed: 1,
-        };
+        let cfg = scale.system(kind, 7, DramStandard::default());
         let mut sim_cycles = 0u64;
         let mut m = measure_once(name, window as u64, || {
             sim_cycles = black_box(run(&cfg, &trace, warmup, window)).cycles;

@@ -13,19 +13,12 @@ use dram_sim::spec::DramStandard;
 use sdimm::trace::{Activity, Phase, RequestTrace};
 use sdimm_bench::Scale;
 use sdimm_system::executor::{ExecEvent, Executor};
-use sdimm_system::machine::{Machine, MachineKind, SystemConfig};
+use sdimm_system::machine::{Machine, MachineKind};
 
 /// Issues `n` secure ORAM requests while sampling non-secure read latency
 /// every `gap` cycles; returns mean non-secure latency in bus cycles.
 fn run(kind: MachineKind, scale: Scale) -> f64 {
-    let cfg = SystemConfig {
-        kind,
-        oram: scale.oram(7),
-        data_blocks: scale.data_blocks(),
-        standard: DramStandard::default(),
-        low_power: false,
-        seed: 1,
-    };
+    let cfg = scale.system(kind, 7, DramStandard::default());
     let mut m = Machine::new(cfg.clone());
     let is_sdimm = !matches!(kind, MachineKind::NonSecure { .. } | MachineKind::Freecursive { .. });
 

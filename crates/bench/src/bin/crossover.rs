@@ -24,7 +24,7 @@
 use dram_sim::spec::DramStandard;
 use sdimm_bench::provenance::Provenance;
 use sdimm_bench::{harness, table, Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::MachineKind;
 use sdimm_telemetry::recorder::write_atomic;
 use workloads::spec as wl;
 
@@ -72,19 +72,12 @@ fn main() {
     let mut all_cells = Vec::new();
     let mut columns = Vec::new();
     for standard in STANDARDS {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
+        let cells = sdimm_bench::run_matrix(
             &telemetry,
             &wl::CROSSOVER,
             &kinds,
             scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard,
-                low_power: false,
-                seed: 1,
-            },
+            |kind| scale.system(kind, 7, standard),
             &instruments,
             all_cells.len() as u32,
         );

@@ -30,7 +30,7 @@ fn main() {
         ("single channel", &single[..], "NONSECURE-1ch"),
         ("double channel", &double[..], "NONSECURE-2ch"),
     ] {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
+        let cells = sdimm_bench::run_matrix(
             &telemetry,
             &spec::ALL,
             kinds,
@@ -40,11 +40,7 @@ fn main() {
                     kind,
                     MachineKind::NonSecure { .. } | MachineKind::Freecursive { .. }
                 ),
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                seed: 1,
+                ..scale.system(kind, 7, telemetry.standard)
             },
             &instruments,
             all_cells.len() as u32,

@@ -14,6 +14,12 @@ fn main() {
     let scale = Scale::from_env();
     // A subset of workloads keeps the sweep fast while preserving the mix.
     let wl = ["mcf-like", "libquantum-like", "gromacs-like", "GemsFDTD-like"];
+    let single =
+        [MachineKind::Freecursive { channels: 1 }, MachineKind::Split { ways: 2, channels: 1 }];
+    let double = [
+        MachineKind::Freecursive { channels: 2 },
+        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
+    ];
     let levels_sweep: &[u32] = match scale {
         Scale::Quick => &[14, 16, 18, 20],
         Scale::Full => &[16, 20, 24, 28],
@@ -25,66 +31,37 @@ fn main() {
         // the sweep (distributed subtrees have half the capacity plus
         // imbalance headroom).
         let data_blocks = (1u64 << (levels - 4)).min(scale.data_blocks());
-        let single =
-            [MachineKind::Freecursive { channels: 1 }, MachineKind::Split { ways: 2, channels: 1 }];
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &wl,
-            &single,
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: oram.clone(),
-                data_blocks,
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
-        table::print_normalized(
-            &format!("Fig 11 (1ch): SPLIT-2 vs Freecursive, L{levels}"),
-            &cells,
-            "FREECURSIVE-1ch",
-            |c| c.result.cycles_per_record(),
-        );
-        all_cells.extend(cells);
-
-        let double = [
-            MachineKind::Freecursive { channels: 2 },
-            MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
-        ];
-        let cells = sdimm_bench::run_matrix_maybe_audited(
-            &telemetry,
-            &wl,
-            &double,
-            scale,
-            |kind| SystemConfig {
-                kind,
-                oram: oram.clone(),
-                data_blocks,
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
-            &instruments,
-            all_cells.len() as u32,
-        );
-        table::print_normalized(
-            &format!("Fig 11 (2ch): INDEP-SPLIT vs Freecursive, L{levels}"),
-            &cells,
-            "FREECURSIVE-2ch",
-            |c| c.result.cycles_per_record(),
-        );
-        all_cells.extend(cells);
+        let make_cfg = |kind| SystemConfig {
+            kind,
+            oram: oram.clone(),
+            data_blocks,
+            standard: telemetry.standard,
+            low_power: false,
+            seed: 1,
+        };
+        for (ch, design, kinds, base) in [
+            ("1ch", "SPLIT-2", &single[..], "FREECURSIVE-1ch"),
+            ("2ch", "INDEP-SPLIT", &double[..], "FREECURSIVE-2ch"),
+        ] {
+            let cells = sdimm_bench::run_matrix(
+                &telemetry,
+                &wl,
+                kinds,
+                scale,
+                make_cfg,
+                &instruments,
+                all_cells.len() as u32,
+            );
+            table::print_normalized(
+                &format!("Fig 11 ({ch}): {design} vs Freecursive, L{levels}"),
+                &cells,
+                base,
+                |c| c.result.cycles_per_record(),
+            );
+            all_cells.extend(cells);
+        }
     }
-    let leakage_kinds = [
-        MachineKind::Freecursive { channels: 1 },
-        MachineKind::Split { ways: 2, channels: 1 },
-        MachineKind::Freecursive { channels: 2 },
-        MachineKind::IndepSplit { groups: 2, ways: 2, channels: 2 },
-    ];
+    let leakage_kinds = [single, double].concat();
     sdimm_bench::leakage::write_if_requested(&telemetry, &leakage_kinds, scale, &instruments);
     telemetry.write_outputs(&all_cells, &instruments);
 }

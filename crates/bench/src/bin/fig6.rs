@@ -3,7 +3,7 @@
 //! 7 levels of ORAM caching).
 
 use sdimm_bench::{harness, table, Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::MachineKind;
 use workloads::spec;
 
 fn main() {
@@ -14,19 +14,12 @@ fn main() {
     let mut all_cells = Vec::new();
     for channels in [1usize, 2] {
         let kinds = [MachineKind::NonSecure { channels }, MachineKind::Freecursive { channels }];
-        let cells = sdimm_bench::run_matrix_maybe_audited(
+        let cells = sdimm_bench::run_matrix(
             &telemetry,
             &spec::ALL,
             &kinds,
             scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
+            |kind| scale.system(kind, 7, telemetry.standard),
             &instruments,
             all_cells.len() as u32,
         );

@@ -3,7 +3,7 @@
 //! and 47.4% improvement respectively).
 
 use sdimm_bench::{table, Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::MachineKind;
 use workloads::spec;
 
 fn main() {
@@ -19,19 +19,12 @@ fn main() {
     ];
     let mut all_cells = Vec::new();
     for cached in [7u32, 0] {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
+        let cells = sdimm_bench::run_matrix(
             &telemetry,
             &spec::ALL,
             &kinds,
             scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(cached),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                low_power: false,
-                seed: 1,
-            },
+            |kind| scale.system(kind, cached, telemetry.standard),
             &instruments,
             all_cells.len() as u32,
         );

@@ -14,19 +14,12 @@ fn main() {
     let kind = MachineKind::Independent { sdimms: 2, channels: 1 };
 
     for low_power in [false, true] {
-        let cells = sdimm_bench::run_matrix_maybe_audited(
+        let cells = sdimm_bench::run_matrix(
             &telemetry,
             &spec::ALL[..5],
             &[kind],
             scale,
-            |kind| SystemConfig {
-                kind,
-                oram: scale.oram(7),
-                data_blocks: scale.data_blocks(),
-                standard: telemetry.standard,
-                low_power,
-                seed: 1,
-            },
+            |kind| SystemConfig { low_power, ..scale.system(kind, 7, telemetry.standard) },
             &instruments,
             all_cells.len() as u32,
         );

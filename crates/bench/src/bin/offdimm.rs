@@ -5,7 +5,7 @@
 
 use sdimm_analytic::bandwidth::{self, TrafficParams};
 use sdimm_bench::{Scale, TelemetryArgs};
-use sdimm_system::machine::{MachineKind, SystemConfig};
+use sdimm_system::machine::MachineKind;
 
 fn main() {
     let telemetry = TelemetryArgs::from_env("offdimm");
@@ -32,19 +32,12 @@ fn main() {
         MachineKind::Independent { sdimms: 2, channels: 1 },
         MachineKind::Split { ways: 2, channels: 1 },
     ];
-    let cells = sdimm_bench::run_matrix_maybe_audited(
+    let cells = sdimm_bench::run_matrix(
         &telemetry,
         &wl,
         &kinds,
         scale,
-        |kind| SystemConfig {
-            kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard: telemetry.standard,
-            low_power: false,
-            seed: 1,
-        },
+        |kind| scale.system(kind, 7, telemetry.standard),
         &instruments,
         0,
     );

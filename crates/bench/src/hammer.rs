@@ -11,9 +11,9 @@
 use dram_sim::spec::DramStandard;
 use sdimm_audit::recount::{check_against_snapshot, recount_channel};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner;
+use sdimm_system::runner::{self, Capture, RunSpec};
 use sdimm_telemetry::TraceSink;
-use workloads::spec;
+use workloads::{spec, Trace};
 
 use crate::provenance::Provenance;
 use crate::Scale;
@@ -133,19 +133,26 @@ pub struct HammerReport {
     pub cells: Vec<HammerCell>,
 }
 
+/// Runs `trace` with command logs and the wear tracker attached.
+fn wear_run(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> Capture {
+    let spec = RunSpec {
+        capture_cmds: true,
+        wear_top_k: Some(TOP_K),
+        ..RunSpec::new(cfg, trace, warmup, measure)
+    };
+    runner::run_with(&spec).1
+}
+
 /// Runs one cell and assembles its report row.
 fn run_cell(point: &HammerPoint, workload: &str, scale: Scale) -> HammerCell {
-    let cfg = SystemConfig {
-        kind: point.kind,
-        oram: scale.oram(7),
-        data_blocks: scale.data_blocks(),
-        standard: point.standard,
-        low_power: point.low_power,
-        seed: 1,
-    };
+    let cfg =
+        SystemConfig { low_power: point.low_power, ..scale.system(point.kind, 7, point.standard) };
     let trace = spec::generate(workload, scale.trace_len(), 3);
-    let (_, cap) = runner::run_hammer(&cfg, &trace, scale.warmup(), scale.measure(), TOP_K);
+    cell_report(point, workload, &wear_run(&cfg, &trace, scale.warmup(), scale.measure()))
+}
 
+/// Assembles a cell's report row from its wear capture.
+fn cell_report(point: &HammerPoint, workload: &str, cap: &Capture) -> HammerCell {
     // Aggregate channel snapshots (every channel shares the topology).
     let mut per_rank_acts = vec![0u64; cap.channel_cfg.topology.ranks];
     let (mut total_acts, mut total_writes, mut peak_window, mut alarms) = (0, 0, 0, 0);
@@ -425,18 +432,13 @@ mod tests {
             seed: 1,
         };
         let trace = spec::generate("hotrow-adv", 1200, 3);
-        let (_, cap) = runner::run_hammer(&cfg, &trace, 200, 400, TOP_K);
-        for (i, stream) in cap.streams.iter().enumerate() {
-            let rc = recount_channel(stream);
-            check_against_snapshot(&rc, &cap.wear[i])
-                .expect("engine wear counts must survive the independent recount");
-        }
+        let cap = wear_run(&cfg, &trace, 200, 400);
         let report = HammerReport {
             scale: "quick",
             provenance: Provenance::new("quick", "independent"),
-            cells: vec![run_tiny_cell(&cfg, &trace)],
+            cells: vec![cell_report(&point, "hotrow-adv", &cap)],
         };
-        assert!(report.audit_pass());
+        assert!(report.audit_pass(), "recount diverged: {:?}", report.cells[0].audit_error);
         let json = report.to_json();
         sdimm_telemetry::json::validate(&json).expect("report is valid JSON");
         assert_eq!(json, report.to_json(), "serialization is deterministic");
@@ -447,52 +449,5 @@ mod tests {
         let trace_json = sink.export_chrome_json().expect("sink enabled");
         sdimm_telemetry::json::validate(&trace_json).expect("valid trace json");
         assert!(trace_json.contains("hot row"));
-    }
-
-    /// A run_cell twin at test scale (run_cell itself uses Scale sizes,
-    /// too slow for unit tests).
-    fn run_tiny_cell(cfg: &SystemConfig, trace: &workloads::Trace) -> HammerCell {
-        let (_, cap) = runner::run_hammer(cfg, trace, 200, 400, TOP_K);
-        let mut per_rank_acts = vec![0u64; cap.channel_cfg.topology.ranks];
-        let (mut total_acts, mut total_writes) = (0, 0);
-        for s in &cap.wear {
-            total_acts += s.total_acts;
-            total_writes += s.total_writes;
-            for (r, &a) in s.per_rank_acts.iter().enumerate() {
-                per_rank_acts[r] += a;
-            }
-        }
-        HammerCell {
-            machine: cfg.kind.name(),
-            standard: cfg.standard.name(),
-            workload: trace.name.clone(),
-            low_power: cfg.low_power,
-            hammer_threshold: cap.channel_cfg.standard.spec().hammer_threshold,
-            total_acts,
-            total_writes,
-            peak_window: cap.wear.iter().map(|s| s.peak_window).max().unwrap_or(0),
-            alarms: cap.wear.iter().map(|s| s.alarms).sum(),
-            rank_act_max_over_mean: sdimm_telemetry::imbalance::max_over_mean(&per_rank_acts),
-            rank_act_gini: sdimm_telemetry::imbalance::gini(&per_rank_acts),
-            per_rank_acts,
-            level_line_writes: cap.level_wear.writes().to_vec(),
-            per_bucket_writes: cap.level_wear.per_bucket_writes(),
-            root_leaf_ratio: 8.0,
-            hot_rows: cap
-                .hot_rows
-                .iter()
-                .map(|h| HotRowReport {
-                    channel: h.channel,
-                    rank: h.row.id.rank,
-                    bank: h.row.id.bank,
-                    row: h.row.id.row,
-                    acts: h.row.acts,
-                    writes: h.row.writes,
-                    levels: h.levels.clone(),
-                })
-                .collect(),
-            audit_acts_match: true,
-            audit_error: None,
-        }
     }
 }

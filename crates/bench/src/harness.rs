@@ -2,12 +2,13 @@
 
 use std::sync::Mutex;
 
-use sdimm_audit::ddr::{violation_recorder, DdrAuditor, BLACKBOX_CONTEXT};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner::{run_audited_instrumented, run_instrumented, RunResult};
+use sdimm_system::runner::{run_with, RunResult, RunSpec};
 use sdimm_telemetry::Instruments;
 use workloads::spec;
 
+use crate::audit::{self, DdrAuditLog};
+use crate::cli::TelemetryArgs;
 use crate::scale::Scale;
 
 /// One measured cell of an experiment matrix.
@@ -29,25 +30,22 @@ pub struct Cell {
 /// large matrix never spawns more threads than the machine has cores.
 ///
 /// `make_cfg` builds the system configuration for a machine kind —
-/// letting callers vary cached levels, low-power mode, etc.
-pub fn run_matrix(
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
-) -> Vec<Cell> {
-    run_matrix_traced(workload_names, kinds, scale, make_cfg, &Instruments::disabled(), 0)
-}
-
-/// [`run_matrix`], but with the observability bundle attached: each
-/// cell gets its own trace process id (`pid_base` + its matrix order),
-/// named `"<machine> / <workload>"`, so one Chrome trace (and one
+/// letting callers vary cached levels, low-power mode, etc. Each cell
+/// gets its own trace process id (`pid_base` + its matrix order), named
+/// `"<machine> / <workload>"`, so one Chrome trace (and one
 /// flight-recorder ring per cell) holds the whole matrix side by side.
 /// Callers invoking this repeatedly on one bundle should advance
-/// `pid_base` past the previous matrix's cell count to keep process
-/// ids distinct. Pass [`Instruments::disabled`] for the plain path —
-/// every disabled handle costs one branch per touchpoint.
-pub fn run_matrix_traced(
+/// `pid_base` past the previous matrix's cell count to keep process ids
+/// distinct. Every disabled instrument costs one branch per touchpoint.
+///
+/// With `--audit` ([`TelemetryArgs::audit`]) every cell's DRAM command
+/// streams are replayed through the differential DDR auditor as the
+/// cell finishes, inside its worker, and dropped at once, so memory
+/// stays bounded by one cell's traffic per worker. The matrix's ORAM
+/// protocols are then lockstep-checked against a shadow memory, and any
+/// violation fails the process (see [`audit::conclude`]).
+pub fn run_matrix(
+    args: &TelemetryArgs,
     workload_names: &[&str],
     kinds: &[MachineKind],
     scale: Scale,
@@ -73,94 +71,7 @@ pub fn run_matrix_traced(
         std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len().max(1));
     let next_job = Mutex::new(0usize);
     let results: Mutex<Vec<(usize, Cell)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let idx = {
-                    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                    let mut cursor = next_job.lock().expect("job cursor poisoned");
-                    let idx = *cursor;
-                    *cursor += 1;
-                    idx
-                };
-                let Some(&(order, wi, wname, kind)) = jobs.get(idx) else {
-                    break;
-                };
-                let trace = spec::generate(wname, trace_len, 42 + wi as u64);
-                let cfg = make_cfg(kind);
-                let result = run_instrumented(
-                    &cfg,
-                    &trace,
-                    warmup,
-                    measure,
-                    instruments,
-                    pid_base + order as u32,
-                );
-                // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                results.lock().expect("results poisoned").push((
-                    order,
-                    Cell { workload: wname.to_string(), machine: kind.name(), result },
-                ));
-            });
-        }
-    });
-
-    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-    let mut cells = results.into_inner().expect("results poisoned");
-    cells.sort_by_key(|(order, _)| *order);
-    cells.into_iter().map(|(_, c)| c).collect()
-}
-
-/// Aggregate result of replaying a matrix's DRAM command streams
-/// through the differential DDR3 auditor.
-#[derive(Debug, Clone, Default)]
-pub struct DdrAuditLog {
-    /// Matrix cells audited.
-    pub cells: u64,
-    /// DDR commands replayed across every channel of every cell.
-    pub commands: u64,
-    /// Refresh commands observed (a zero here on a long run means the
-    /// capture itself is broken — refresh is always on in the machines).
-    pub refreshes: u64,
-    /// One formatted line per violating cell (empty on a clean matrix).
-    pub violations: Vec<String>,
-    /// Flight-recorder black-box dumps written for violating cells
-    /// (one formatted `path` line per dump; empty on a clean matrix).
-    pub blackbox_dumps: Vec<String>,
-}
-
-/// [`run_matrix_traced`], with every cell's DRAM command streams
-/// replayed through [`DdrAuditor`] as the cell finishes. Streams are
-/// audited inside the worker and dropped immediately, so memory stays
-/// bounded by one cell's traffic per worker rather than the whole
-/// matrix's.
-pub fn run_matrix_audited(
-    workload_names: &[&str],
-    kinds: &[MachineKind],
-    scale: Scale,
-    make_cfg: impl Fn(MachineKind) -> SystemConfig + Sync,
-    instruments: &Instruments,
-    pid_base: u32,
-) -> (Vec<Cell>, DdrAuditLog) {
-    let warmup = scale.warmup();
-    let measure = scale.measure();
-    let trace_len = scale.trace_len();
-
-    let jobs: Vec<(usize, usize, &str, MachineKind)> = workload_names
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, wname)| kinds.iter().copied().map(move |kind| (wi, *wname, kind)))
-        .enumerate()
-        .map(|(order, (wi, wname, kind))| (order, wi, wname, kind))
-        .collect();
-    instruments.live.add_cells(jobs.len());
-
-    let workers =
-        std::thread::available_parallelism().map_or(4, |n| n.get()).min(jobs.len().max(1));
-    let next_job = Mutex::new(0usize);
-    let results: Mutex<Vec<(usize, Cell)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let audit: Mutex<DdrAuditLog> = Mutex::new(DdrAuditLog::default());
+    let ddr: Mutex<DdrAuditLog> = Mutex::new(DdrAuditLog::default());
 
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -178,62 +89,18 @@ pub fn run_matrix_audited(
                 let trace = spec::generate(wname, trace_len, 42 + wi as u64);
                 let cfg = make_cfg(kind);
                 let pid = pid_base + order as u32;
-                let (result, capture) =
-                    run_audited_instrumented(&cfg, &trace, warmup, measure, instruments, pid);
-                // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-                let mut log = audit.lock().expect("audit log poisoned");
-                log.cells += 1;
-                for (ch, stream) in capture.streams.iter().enumerate() {
-                    match DdrAuditor::check_stream_indexed(&capture.channel_cfg, stream) {
-                        Ok(summary) => {
-                            log.commands += summary.commands;
-                            log.refreshes += summary.refreshes;
-                        }
-                        Err((idx, v)) => {
-                            let line = format!("{} / {} channel {ch}: {v}", kind.name(), wname);
-                            // Black box from the captured stream, not the live
-                            // per-cell ring: the context window is guaranteed
-                            // present even if the cell's ring was disabled or
-                            // had wrapped past the offending commands.
-                            let recorder = violation_recorder(
-                                stream,
-                                ch.min(u8::MAX as usize) as u8,
-                                idx,
-                                BLACKBOX_CONTEXT,
-                            );
-                            // Under strict mode the run stops *at* the
-                            // violation, black box first.
-                            #[cfg(feature = "audit-strict")]
-                            sdimm_audit::strict::abort_with_blackbox(
-                                &instruments.sink,
-                                &recorder,
-                                &line,
-                            );
-                            #[cfg(not(feature = "audit-strict"))]
-                            {
-                                let prefix = if instruments.flight.is_enabled() {
-                                    format!("{}-violation-pid{pid}", instruments.flight.prefix())
-                                } else {
-                                    format!("audit-violation-pid{pid}")
-                                };
-                                if recorder.arm_dump() {
-                                    match recorder.dump_to_files(&prefix, &line, pid) {
-                                        Some(Ok((txt, json))) => {
-                                            log.blackbox_dumps.push(txt);
-                                            log.blackbox_dumps.push(json);
-                                        }
-                                        Some(Err(e)) => log
-                                            .blackbox_dumps
-                                            .push(format!("(dump to {prefix} failed: {e})")),
-                                        None => {}
-                                    }
-                                }
-                                log.violations.push(line);
-                            }
-                        }
-                    }
+                let (result, capture) = run_with(&RunSpec {
+                    instruments: instruments.clone(),
+                    pid,
+                    capture_cmds: args.audit,
+                    ..RunSpec::new(&cfg, &trace, warmup, measure)
+                });
+                if args.audit {
+                    let cell = format!("{} / {}", kind.name(), wname);
+                    let log = audit::audit_cell(&capture, &cell, pid, instruments);
+                    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
+                    ddr.lock().expect("audit log poisoned").absorb(log);
                 }
-                drop(log);
                 // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
                 results.lock().expect("results poisoned").push((
                     order,
@@ -243,11 +110,14 @@ pub fn run_matrix_audited(
         }
     });
 
+    if args.audit {
+        // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
+        audit::conclude(&ddr.into_inner().expect("audit log poisoned"), kinds, instruments);
+    }
     // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
     let mut cells = results.into_inner().expect("results poisoned");
     cells.sort_by_key(|(order, _)| *order);
-    // lint: panic-ok(lock poisoning means a worker panicked; propagating the panic is intended)
-    (cells.into_iter().map(|(_, c)| c).collect(), audit.into_inner().expect("audit log poisoned"))
+    cells.into_iter().map(|(_, c)| c).collect()
 }
 
 /// Geometric mean of a slice (0.0 for empty input).

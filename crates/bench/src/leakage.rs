@@ -15,7 +15,7 @@
 use dram_sim::spec::DramStandard;
 use sdimm_leakage::{analyze_pair, AnalysisConfig, Capture, EntryReport, LeakageReport};
 use sdimm_system::machine::{MachineKind, SystemConfig};
-use sdimm_system::runner;
+use sdimm_system::runner::{self, RunSpec};
 use sdimm_telemetry::recorder::write_atomic;
 use sdimm_telemetry::Instruments;
 use workloads::leakage::{pairs, required_blocks};
@@ -56,7 +56,12 @@ pub fn is_secure(kind: &MachineKind) -> bool {
 }
 
 fn capture(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> Capture {
-    let (_, cap) = runner::run_leakage(cfg, trace, warmup, measure);
+    let spec = RunSpec {
+        capture_cmds: true,
+        capture_observables: true,
+        ..RunSpec::new(cfg, trace, warmup, measure)
+    };
+    let (_, cap) = runner::run_with(&spec);
     Capture {
         ranks: cap.channel_cfg.topology.ranks,
         banks: cap.channel_cfg.topology.banks,
@@ -79,14 +84,7 @@ pub fn run_report(kinds: &[MachineKind], scale: Scale, standard: DramStandard) -
     let pair_set = pairs(warmup, measure);
     let mut entries = Vec::new();
     for kind in kinds {
-        let cfg = SystemConfig {
-            kind: *kind,
-            oram: scale.oram(7),
-            data_blocks: scale.data_blocks(),
-            standard,
-            low_power: false,
-            seed: 1,
-        };
+        let cfg = scale.system(*kind, 7, standard);
         assert!(
             cfg.data_blocks >= required_blocks(warmup, measure),
             "scale too small for the leakage pairs"

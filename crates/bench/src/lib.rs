@@ -3,9 +3,8 @@
 //!
 //! Each `fig*`/`table*` binary in `src/bin/` prints the rows/series of
 //! one paper artifact; Criterion micro-benchmarks live in `benches/`.
-//! Extension experiments (`stash`, `coresident`) and diagnostics
-//! (`probe`, `probe2`, `calibrate`) are binaries here too — see
-//! EXPERIMENTS.md for what each one demonstrates.
+//! Extension experiments (`stash`, `coresident`) are binaries here too —
+//! see EXPERIMENTS.md for what each one demonstrates.
 //!
 //! Run scale is controlled by the `SDIMM_BENCH_SCALE` environment
 //! variable: `quick` (default — minutes, smaller trees/windows) or
@@ -28,8 +27,8 @@ pub mod provenance;
 pub mod scale;
 pub mod table;
 
-pub use audit::run_matrix_maybe_audited;
+pub use audit::DdrAuditLog;
 pub use cli::TelemetryArgs;
-pub use harness::{run_matrix, run_matrix_audited, run_matrix_traced, Cell, DdrAuditLog};
+pub use harness::{run_matrix, Cell};
 pub use live::LiveView;
 pub use scale::Scale;

@@ -1,6 +1,8 @@
 //! Run-scale selection for the figure binaries.
 
+use dram_sim::spec::DramStandard;
 use oram::types::OramConfig;
+use sdimm_system::machine::{MachineKind, SystemConfig};
 
 /// How big a run the figure binaries perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +30,25 @@ impl Scale {
             Scale::Full => 24,
         };
         OramConfig { levels, cached_levels, ..OramConfig::default() }
+    }
+
+    /// The machine every experiment at this scale builds for `kind`:
+    /// [`oram`](Self::oram) with `cached_levels`, the scale's data
+    /// blocks, `standard` on every channel, low power off, seed 1.
+    pub fn system(
+        &self,
+        kind: MachineKind,
+        cached_levels: u32,
+        standard: DramStandard,
+    ) -> SystemConfig {
+        SystemConfig {
+            kind,
+            oram: self.oram(cached_levels),
+            data_blocks: self.data_blocks(),
+            standard,
+            low_power: false,
+            seed: 1,
+        }
     }
 
     /// Logical data blocks the workloads address.

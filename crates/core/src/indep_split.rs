@@ -14,6 +14,7 @@ use oram::path_oram::PathOram;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
 
 use crate::obliviousness::{Observable, Recorder};
+use crate::protocol::Protocol;
 use crate::split::{receive_list_bytes, META_BYTES_PER_BUCKET};
 use crate::trace::{Activity, Phase, RequestTrace};
 use crate::transfer_queue::TransferQueue;
@@ -142,16 +143,6 @@ impl IndepSplitOram {
         }
     }
 
-    /// Attaches an obliviousness recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Takes the recorder back.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &IndepSplitConfig {
         &self.cfg
@@ -160,58 +151,6 @@ impl IndepSplitOram {
     /// Statistics so far.
     pub fn stats(&self) -> IndepSplitStats {
         self.stats
-    }
-
-    /// Highest current stash occupancy across groups (the value the
-    /// per-instance stash bound applies to).
-    pub fn max_stash_len(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
-    }
-
-    /// Peak stash occupancy over every group.
-    pub fn stash_peak(&self) -> usize {
-        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
-    }
-
-    /// Attaches a flight recorder to every group's stash (backend tag =
-    /// group index), for black-box occupancy ticks.
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        for (i, g) in self.groups.iter_mut().enumerate() {
-            g.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
-        }
-    }
-
-    /// Exports per-group ORAM metrics (`group<i>.*`) plus transfer-queue
-    /// peaks as a metrics registry.
-    pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = sdimm_telemetry::MetricsRegistry::new();
-        for (i, g) in self.groups.iter().enumerate() {
-            m.absorb(&format!("group{i}"), &g.oram.metrics());
-        }
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m.gauge_max(
-            "transfer_peak",
-            self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0) as f64,
-        );
-        m
-    }
-
-    /// Attributes a channel line address to its ORAM tree level.
-    /// Channel `ch` is way `ch % ways` of group `ch / ways`, and every
-    /// way of a group carries a byte-striped share of that group's
-    /// logical address stream — so the inversion goes through the
-    /// owning group's layout.
-    pub fn level_of_channel_line(&self, ch: usize, addr: u64) -> Option<u32> {
-        self.groups.get(ch / self.cfg.ways)?.oram.layout().level_of_line(addr)
-    }
-
-    /// Merged per-level wear across every group's tree.
-    pub fn level_wear(&self) -> oram::wear::LevelWear {
-        let mut total = oram::wear::LevelWear::default();
-        for g in &self.groups {
-            total.merge(g.oram.level_wear());
-        }
-        total
     }
 
     fn route(&self, global: Leaf) -> (usize, Leaf) {
@@ -242,14 +181,10 @@ impl IndepSplitOram {
     fn stripe_meta(&self, lines: &[u64]) -> Vec<Vec<u64>> {
         crate::split::stripe_meta_lines(lines, self.cfg.ways, self.cfg.subtree.lines_per_bucket())
     }
+}
 
-    /// Executes one `accessORAM` through the combined protocol.
-    pub fn access(
-        &mut self,
-        id: BlockId,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, RequestTrace) {
+impl Protocol for IndepSplitOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let k = self.cfg.ways;
         let lm = self.cfg.levels_in_memory();
         let z = self.cfg.subtree.z as u64;
@@ -389,11 +324,63 @@ impl IndepSplitOram {
         (data, trace)
     }
 
-    /// Verifies every group's tree invariant (tests).
-    pub fn check_invariants(&self) {
+    fn check_invariants(&self) {
         for g in &self.groups {
             g.oram.check_invariant();
         }
+    }
+
+    fn stash_len(&self) -> usize {
+        self.groups.iter().map(|g| g.oram.stash_len()).max().unwrap_or(0)
+    }
+
+    fn stash_peak(&self) -> usize {
+        self.groups.iter().map(|g| g.oram.stash_peak()).max().unwrap_or(0)
+    }
+
+    /// Tags each group's stash ticks with its group index.
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+        for (i, g) in self.groups.iter_mut().enumerate() {
+            g.oram.set_flight_recorder(recorder.clone(), i.min(u8::MAX as usize) as u8);
+        }
+    }
+
+    /// Per-group ORAM metrics (`group<i>.*`) plus transfer-queue peaks.
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        let mut m = sdimm_telemetry::MetricsRegistry::new();
+        for (i, g) in self.groups.iter().enumerate() {
+            m.absorb(&format!("group{i}"), &g.oram.metrics());
+        }
+        m.gauge_max("stash_peak", self.stash_peak() as f64);
+        m.gauge_max(
+            "transfer_peak",
+            self.groups.iter().map(|g| g.queue.peak()).max().unwrap_or(0) as f64,
+        );
+        m
+    }
+
+    /// Channel `channel` is way `channel % ways` of group
+    /// `channel / ways`, and every way of a group carries a byte-striped
+    /// share of that group's logical address stream — so the inversion
+    /// goes through the owning group's layout.
+    fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
+        self.groups.get(channel / self.cfg.ways)?.oram.layout().level_of_line(addr)
+    }
+
+    fn level_wear(&self) -> oram::wear::LevelWear {
+        let mut total = oram::wear::LevelWear::default();
+        for g in &self.groups {
+            total.merge(g.oram.level_wear());
+        }
+        total
+    }
+
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
+    }
+
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
     }
 }
 

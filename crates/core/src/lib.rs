@@ -23,6 +23,9 @@
 //!   forced drain.
 //! * [`obliviousness`] — observable-trace recording and the
 //!   indistinguishability (shape) checker backing §III-G.
+//! * [`protocol`] — the [`Protocol`] trait every ORAM controller
+//!   implements (the three SDIMM protocols and the main-memory
+//!   [`Baseline`]).
 //! * [`trace`] — the timing contract ([`trace::RequestTrace`]) consumed
 //!   by the cycle-level executor in `sdimm-system`.
 //!
@@ -30,6 +33,7 @@
 //!
 //! ```
 //! use sdimm::independent::{IndependentConfig, IndependentOram};
+//! use sdimm::Protocol;
 //! use oram::types::{BlockId, Op, OramConfig};
 //!
 //! let global = OramConfig { levels: 8, ..OramConfig::tiny() };
@@ -51,6 +55,7 @@ pub mod frontend;
 pub mod indep_split;
 pub mod independent;
 pub mod obliviousness;
+pub mod protocol;
 pub mod split;
 pub mod trace;
 pub mod transfer_queue;
@@ -59,5 +64,6 @@ pub use commands::SdimmCommand;
 pub use frontend::Frontend;
 pub use indep_split::{IndepSplitConfig, IndepSplitOram};
 pub use independent::{IndependentConfig, IndependentOram};
+pub use protocol::{Baseline, Protocol};
 pub use split::{SplitConfig, SplitOram};
 pub use trace::{Activity, Phase, RequestTrace};

@@ -21,6 +21,7 @@ use oram::path_oram::PathOram;
 use oram::types::{BlockId, Leaf, Op, OramConfig};
 
 use crate::obliviousness::{Observable, Recorder};
+use crate::protocol::Protocol;
 use crate::trace::{Activity, Phase, RequestTrace};
 
 /// Bytes of metadata per bucket (tags, leaf IDs, shared counter): one
@@ -98,16 +99,6 @@ impl SplitOram {
         SplitOram { cfg, logical, stats: SplitStats::default(), recorder: None }
     }
 
-    /// Attaches an obliviousness recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = Some(rec);
-    }
-
-    /// Takes the recorder back.
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SplitConfig {
         &self.cfg
@@ -118,39 +109,9 @@ impl SplitOram {
         self.stats
     }
 
-    /// Logical stash occupancy (the union of the SDIMM stash shares).
-    pub fn stash_len(&self) -> usize {
-        self.logical.stash_len()
-    }
-
-    /// Attaches a flight recorder to the logical stash (backend tag 0).
-    pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
-        self.logical.set_flight_recorder(recorder, 0);
-    }
-
-    /// Peak logical stash occupancy.
-    pub fn stash_peak(&self) -> usize {
-        self.logical.stash_peak()
-    }
-
-    /// Exports the logical ORAM's metrics as a registry.
-    pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
-        let mut m = self.logical.metrics();
-        m.gauge_max("stash_peak", self.stash_peak() as f64);
-        m
-    }
-
-    /// Attributes a channel line address to its ORAM tree level. Byte-
-    /// striping hands every SDIMM a share of the *same* logical address
-    /// stream, so the inversion goes through the single logical layout
-    /// regardless of which channel carried the line.
-    pub fn level_of_channel_line(&self, addr: u64) -> Option<u32> {
-        self.logical.layout().level_of_line(addr)
-    }
-
-    /// Per-level wear of the logical tree.
-    pub fn level_wear(&self) -> &oram::wear::LevelWear {
-        self.logical.level_wear()
+    /// Current leaf of a block (tests).
+    pub fn leaf_of(&self, id: BlockId) -> Leaf {
+        self.logical.leaf_of(id)
     }
 
     fn record(&mut self, ev: Observable) {
@@ -180,18 +141,10 @@ impl SplitOram {
     fn stripe_meta(&self, lines: &[u64]) -> Vec<Vec<u64>> {
         stripe_meta_lines(lines, self.cfg.ways, self.cfg.tree.lines_per_bucket())
     }
+}
 
-    /// Executes one `accessORAM(id, op, data)` through the Split protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn access(
-        &mut self,
-        id: BlockId,
-        op: Op,
-        new_data: Option<&[u8]>,
-    ) -> (Vec<u8>, RequestTrace) {
+impl Protocol for SplitOram {
+    fn access(&mut self, id: BlockId, op: Op, new_data: Option<&[u8]>) -> (Vec<u8>, RequestTrace) {
         let k = self.cfg.ways;
         let z = self.cfg.tree.z as u64;
         let lm = self.cfg.levels_in_memory();
@@ -275,14 +228,47 @@ impl SplitOram {
         (data, trace)
     }
 
-    /// Verifies the logical tree invariant (tests).
-    pub fn check_invariant(&self) {
+    fn check_invariants(&self) {
         self.logical.check_invariant();
     }
 
-    /// Current leaf of a block (tests).
-    pub fn leaf_of(&self, id: BlockId) -> Leaf {
-        self.logical.leaf_of(id)
+    /// The logical stash: the union of the SDIMM stash shares.
+    fn stash_len(&self) -> usize {
+        self.logical.stash_len()
+    }
+
+    /// One logical stash, backend tag 0.
+    fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
+        self.logical.set_flight_recorder(recorder, 0);
+    }
+
+    fn stash_peak(&self) -> usize {
+        self.logical.stash_peak()
+    }
+
+    fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
+        let mut m = self.logical.metrics();
+        m.gauge_max("stash_peak", self.stash_peak() as f64);
+        m
+    }
+
+    /// Byte-striping hands every SDIMM a share of the *same* logical
+    /// address stream, so the inversion goes through the single logical
+    /// layout regardless of which channel carried the line.
+    fn level_of_channel_line(&self, _channel: usize, addr: u64) -> Option<u32> {
+        self.logical.layout().level_of_line(addr)
+    }
+
+    fn level_wear(&self) -> oram::wear::LevelWear {
+        self.logical.level_wear().clone()
+    }
+
+    fn set_recorder(&mut self, rec: Recorder) {
+        self.recorder = Some(rec);
+    }
+
+    fn take_recorder(&mut self) -> Option<Recorder> {
+        self.recorder.take()
     }
 }
 
@@ -341,7 +327,7 @@ mod tests {
         s.access(BlockId(9), Op::Write, Some(&[3u8; 64]));
         let (got, _) = s.access(BlockId(9), Op::Read, None);
         assert_eq!(got, vec![3u8; 64]);
-        s.check_invariant();
+        s.check_invariants();
     }
 
     #[test]

@@ -225,4 +225,35 @@ mod tests {
         }
         assert!(misses > 4096 + 3000, "thrashing footprint must keep missing");
     }
+
+    #[test]
+    fn workload_miss_rates_are_pinned() {
+        // The Table II LLC's miss rate on every synthetic SPEC stand-in
+        // (20k records, seed 42, first 10k warm only), to two decimals:
+        // the 0.49–0.84 spread EXPERIMENTS.md quotes.
+        let pinned = [
+            ("mcf-like", "0.65"),
+            ("lbm-like", "0.70"),
+            ("libquantum-like", "0.84"),
+            ("milc-like", "0.66"),
+            ("omnetpp-like", "0.51"),
+            ("gromacs-like", "0.49"),
+            ("GemsFDTD-like", "0.60"),
+            ("soplex-like", "0.51"),
+            ("leslie3d-like", "0.66"),
+            ("bwaves-like", "0.75"),
+        ];
+        assert_eq!(pinned.map(|(name, _)| name), workloads::spec::ALL);
+        for (name, want) in pinned {
+            let trace = workloads::spec::generate(name, 20_000, 42);
+            let mut llc = Llc::table2();
+            for r in &trace.records[..10_000] {
+                llc.warm(r.addr, r.is_write);
+            }
+            for r in &trace.records[10_000..] {
+                llc.access(r.addr, r.is_write);
+            }
+            assert_eq!(format!("{:.2}", llc.stats().miss_rate()), want, "{name}");
+        }
+    }
 }

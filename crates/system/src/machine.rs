@@ -14,6 +14,7 @@ use oram::wear::LevelWear;
 use sdimm::frontend::Frontend;
 use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
+use sdimm::protocol::{Baseline, Protocol};
 use sdimm::split::{SplitConfig, SplitOram};
 use sdimm::trace::{Activity, Phase, RequestTrace};
 
@@ -91,14 +92,6 @@ impl MachineKind {
         }
     }
 
-    /// The per-channel DRAM configuration this machine runs on the
-    /// default (Table II DDR3-1600) standard. Shorthand for
-    /// [`channel_config_for`](Self::channel_config_for) with
-    /// [`DramStandard::default`].
-    pub fn channel_config(&self) -> ChannelConfig {
-        self.channel_config_for(DramStandard::default())
-    }
-
     /// The per-channel DRAM configuration this machine runs under
     /// `standard`: main-memory channels for the baselines, the
     /// SDIMM-internal channel otherwise, refresh enabled in both.
@@ -149,30 +142,17 @@ impl SystemConfig {
     }
 }
 
-/// The functional backend behind a machine.
-#[derive(Debug)]
-enum Backend {
-    NonSecure,
-    /// Plain Path ORAM: on-chip posmap, one access per request.
-    PathOramPlain {
-        oram: PathOram,
-        channels: usize,
-    },
-    Freecursive {
-        oram: PathOram,
-        channels: usize,
-    },
-    Independent(IndependentOram),
-    Split(SplitOram),
-    IndepSplit(IndepSplitOram),
-}
-
 /// A complete simulated machine: frontend + backend + executor.
 #[derive(Debug)]
 pub struct Machine {
     cfg: SystemConfig,
+    /// The CPU-side recursion planner (every ORAM design but plain Path
+    /// ORAM).
     frontend: Option<Frontend>,
-    backend: Backend,
+    /// The ORAM controller (none for the non-secure machine).
+    backend: Option<Box<dyn Protocol>>,
+    /// LLC requests planned so far.
+    requests: u64,
     /// Cycle-level resources.
     pub executor: Executor,
 }
@@ -183,71 +163,56 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if the configuration is internally inconsistent (e.g. more
-    /// blocks than the tree holds).
+    /// blocks than the tree holds, or SDIMMs that do not split evenly
+    /// over the external buses).
     pub fn new(cfg: SystemConfig) -> Self {
         let kind = cfg.kind;
-        let n_exec = kind.executor_channels();
-
-        let (backend, frontend, executor) = match kind {
-            MachineKind::NonSecure { channels } => (
-                Backend::NonSecure,
-                None,
-                Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-            ),
-            MachineKind::PathOram { channels } => {
-                let oram = PathOram::new(cfg.oram.clone(), cfg.data_blocks, cfg.seed);
-                (
-                    Backend::PathOramPlain { oram, channels },
-                    None,
-                    Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-                )
-            }
-            MachineKind::Freecursive { channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
-                let oram = PathOram::new(cfg.oram.clone(), total, cfg.seed);
-                (
-                    Backend::Freecursive { oram, channels },
-                    Some(frontend),
-                    Executor::new(channels, kind.channel_config_for(cfg.standard), &[]),
-                )
+        let frontend = match kind {
+            MachineKind::NonSecure { .. } | MachineKind::PathOram { .. } => None,
+            _ => Some(Frontend::new(&cfg.oram, cfg.data_blocks)),
+        };
+        // The frontend's recursive posmap blocks share the tree with the
+        // data blocks.
+        let blocks = frontend.as_ref().map_or(cfg.data_blocks, |f| f.id_space().total_blocks());
+        let (backend, buses): (Option<Box<dyn Protocol>>, Option<usize>) = match kind {
+            MachineKind::NonSecure { .. } => (None, None),
+            MachineKind::PathOram { channels } | MachineKind::Freecursive { channels } => {
+                let oram = PathOram::new(cfg.oram.clone(), blocks, cfg.seed);
+                (Some(Box::new(Baseline::new(oram, channels))), None)
             }
             MachineKind::Independent { sdimms, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
-                let mut icfg = IndependentConfig::new(sdimms, &cfg.oram);
-                icfg.low_power = cfg.low_power;
-                let oram = IndependentOram::new(icfg, total, cfg.seed);
-                let bus_map = bus_assignment(sdimms, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::Independent(oram), Some(frontend), ex)
+                let icfg = IndependentConfig {
+                    low_power: cfg.low_power,
+                    ..IndependentConfig::new(sdimms, &cfg.oram)
+                };
+                (Some(Box::new(IndependentOram::new(icfg, blocks, cfg.seed))), Some(channels))
             }
             MachineKind::Split { ways, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
-                let mut scfg = SplitConfig::new(ways, &cfg.oram);
-                scfg.low_power = cfg.low_power;
-                let oram = SplitOram::new(scfg, total, cfg.seed);
-                let bus_map = bus_assignment(ways, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::Split(oram), Some(frontend), ex)
+                let scfg =
+                    SplitConfig { low_power: cfg.low_power, ..SplitConfig::new(ways, &cfg.oram) };
+                (Some(Box::new(SplitOram::new(scfg, blocks, cfg.seed))), Some(channels))
             }
             MachineKind::IndepSplit { groups, ways, channels } => {
-                let frontend = Frontend::new(&cfg.oram, cfg.data_blocks);
-                let total = frontend.id_space().total_blocks();
-                let mut ccfg = IndepSplitConfig::new(groups, ways, &cfg.oram);
-                ccfg.low_power = cfg.low_power;
-                let oram = IndepSplitOram::new(ccfg, total, cfg.seed);
-                let bus_map = bus_assignment(groups * ways, channels);
-                let mut ex = Executor::new(n_exec, kind.channel_config_for(cfg.standard), &bus_map);
-                ex.set_lowpower_ranks(cfg.low_power);
-                (Backend::IndepSplit(oram), Some(frontend), ex)
+                let ccfg = IndepSplitConfig {
+                    low_power: cfg.low_power,
+                    ..IndepSplitConfig::new(groups, ways, &cfg.oram)
+                };
+                (Some(Box::new(IndepSplitOram::new(ccfg, blocks, cfg.seed))), Some(channels))
             }
         };
-
-        Machine { cfg, frontend, backend, executor }
+        let n_exec = kind.executor_channels();
+        let ch_cfg = kind.channel_config_for(cfg.standard);
+        // SDIMMs share external buses; the baselines' channels are their
+        // own buses.
+        let executor = match buses {
+            None => Executor::new(n_exec, ch_cfg, &[]),
+            Some(buses) => {
+                let mut ex = Executor::new(n_exec, ch_cfg, &bus_assignment(n_exec, buses));
+                ex.set_lowpower_ranks(cfg.low_power);
+                ex
+            }
+        };
+        Machine { cfg, frontend, backend, requests: 0, executor }
     }
 
     /// The system configuration.
@@ -255,24 +220,22 @@ impl Machine {
         &self.cfg
     }
 
-    /// Mean `accessORAM`s per request so far (≈1.4 in the paper), or 0
-    /// for the non-secure machine.
+    /// Mean `accessORAM`s per request so far (≈1.4 in the paper): the
+    /// frontend's count, exactly 1 for a backend without a frontend once
+    /// any request has been planned, and 0 for the non-secure machine.
     pub fn accesses_per_request(&self) -> f64 {
-        self.frontend.as_ref().map(|f| f.stats().accesses_per_request()).unwrap_or(0.0)
+        match (&self.frontend, &self.backend) {
+            (Some(f), _) => f.stats().accesses_per_request(),
+            (None, Some(_)) if self.requests > 0 => 1.0,
+            _ => 0.0,
+        }
     }
 
     /// Current stash occupancy (the maximum across the backend's ORAM
     /// instances — the value the per-instance stash bound applies to),
     /// or 0 for the non-secure machine.
     pub fn stash_len(&self) -> usize {
-        match &self.backend {
-            Backend::NonSecure => 0,
-            Backend::PathOramPlain { oram, .. } => oram.stash_len(),
-            Backend::Freecursive { oram, .. } => oram.stash_len(),
-            Backend::Independent(o) => o.max_stash_len(),
-            Backend::Split(o) => o.stash_len(),
-            Backend::IndepSplit(o) => o.max_stash_len(),
-        }
+        self.backend.as_ref().map_or(0, |b| b.stash_len())
     }
 
     /// Attaches a cycle-stamping observable recorder to the backend's
@@ -282,25 +245,15 @@ impl Machine {
     /// for NonSecure/PathOram/Freecursive machines.
     pub fn set_observable_recorder(&mut self) {
         let rec = sdimm::obliviousness::Recorder::with_clock(self.executor.shared_clock());
-        match &mut self.backend {
-            Backend::NonSecure | Backend::PathOramPlain { .. } | Backend::Freecursive { .. } => {}
-            Backend::Independent(o) => o.set_recorder(rec),
-            Backend::Split(o) => o.set_recorder(rec),
-            Backend::IndepSplit(o) => o.set_recorder(rec),
+        if let Some(b) = &mut self.backend {
+            b.set_recorder(rec);
         }
     }
 
     /// Takes the observable recorder back from the backend, when one was
     /// attached and the backend has an external bus to observe.
     pub fn take_observable_recorder(&mut self) -> Option<sdimm::obliviousness::Recorder> {
-        match &mut self.backend {
-            Backend::NonSecure | Backend::PathOramPlain { .. } | Backend::Freecursive { .. } => {
-                None
-            }
-            Backend::Independent(o) => o.take_recorder(),
-            Backend::Split(o) => o.take_recorder(),
-            Backend::IndepSplit(o) => o.take_recorder(),
-        }
+        self.backend.as_mut().and_then(|b| b.take_recorder())
     }
 
     /// Attaches a flight recorder to the executor (clock publication,
@@ -308,13 +261,8 @@ impl Machine {
     /// to every backend stash (occupancy ticks).
     pub fn set_flight_recorder(&mut self, recorder: sdimm_telemetry::FlightRecorder) {
         self.executor.set_flight_recorder(recorder.clone());
-        match &mut self.backend {
-            Backend::NonSecure => {}
-            Backend::PathOramPlain { oram, .. } => oram.set_flight_recorder(recorder, 0),
-            Backend::Freecursive { oram, .. } => oram.set_flight_recorder(recorder, 0),
-            Backend::Independent(o) => o.set_flight_recorder(recorder),
-            Backend::Split(o) => o.set_flight_recorder(recorder),
-            Backend::IndepSplit(o) => o.set_flight_recorder(recorder),
+        if let Some(b) = &mut self.backend {
+            b.set_flight_recorder(recorder);
         }
     }
 
@@ -328,14 +276,7 @@ impl Machine {
     /// Peak stash occupancy across the backend's ORAM instance(s), or 0
     /// for the non-secure machine.
     pub fn stash_peak(&self) -> usize {
-        match &self.backend {
-            Backend::NonSecure => 0,
-            Backend::PathOramPlain { oram, .. } => oram.stash_peak(),
-            Backend::Freecursive { oram, .. } => oram.stash_peak(),
-            Backend::Independent(o) => o.stash_peak(),
-            Backend::Split(o) => o.stash_peak(),
-            Backend::IndepSplit(o) => o.stash_peak(),
-        }
+        self.backend.as_ref().map_or(0, |b| b.stash_peak())
     }
 
     /// PLB (PosMap Lookaside Buffer) hit rate, or 0 for the non-secure
@@ -345,8 +286,8 @@ impl Machine {
     }
 
     /// Exports the whole machine's metrics: frontend PLB counters
-    /// (`plb.*`), backend ORAM stats (`oram.*`), and executor/channel
-    /// stats (`exec.*`, `dram.chan<i>.*`).
+    /// (`plb.*`), accesses per request, backend ORAM stats (`oram.*`),
+    /// and executor/channel stats (`exec.*`, `dram.chan<i>.*`).
     pub fn metrics(&self) -> sdimm_telemetry::MetricsRegistry {
         let mut m = self.executor.metrics();
         if let Some(f) = &self.frontend {
@@ -355,15 +296,10 @@ impl Machine {
             m.counter_add("plb.misses", plb.misses);
             m.counter_add("plb.dirty_evictions", plb.dirty_evictions);
             m.gauge_set("plb.hit_rate", plb.hit_rate());
-            m.gauge_set("frontend.accesses_per_request", f.stats().accesses_per_request());
         }
-        match &self.backend {
-            Backend::NonSecure => {}
-            Backend::PathOramPlain { oram, .. } => m.absorb("oram", &oram.metrics()),
-            Backend::Freecursive { oram, .. } => m.absorb("oram", &oram.metrics()),
-            Backend::Independent(o) => m.absorb("oram", &o.metrics()),
-            Backend::Split(o) => m.absorb("oram", &o.metrics()),
-            Backend::IndepSplit(o) => m.absorb("oram", &o.metrics()),
+        if let Some(b) = &self.backend {
+            m.gauge_set("frontend.accesses_per_request", self.accesses_per_request());
+            m.absorb("oram", &b.metrics());
         }
         m.gauge_max("oram.stash_peak", self.stash_peak() as f64);
         m
@@ -378,53 +314,15 @@ impl Machine {
     /// Attributes a channel-local line address (as seen by DRAM channel
     /// `channel`) back to the ORAM tree level whose bucket owns it, or
     /// `None` when the machine has no tree (NonSecure) or the address is
-    /// outside the tree. Each backend speaks a different channel-address
-    /// dialect, so the inversion is per-design:
-    ///
-    /// * baselines interleave the single tree's *global* lines across
-    ///   channels (`global = local * channels + channel`, the inverse of
-    ///   [`Machine::split_lines`]);
-    /// * Independent sends each SDIMM's private layout addresses to its
-    ///   own channel;
-    /// * Split/IndepSplit byte-stripe one logical layout's addresses
-    ///   over the member ways.
+    /// outside the tree (see [`Protocol::level_of_channel_line`]).
     pub fn level_of_channel_line(&self, channel: usize, addr: u64) -> Option<u32> {
-        let unsplit = |channels: usize| ((addr / 64) * channels as u64 + channel as u64) * 64;
-        match &self.backend {
-            Backend::NonSecure => None,
-            Backend::PathOramPlain { oram, channels } | Backend::Freecursive { oram, channels } => {
-                oram.layout().level_of_line(unsplit(*channels))
-            }
-            Backend::Independent(o) => o.level_of_channel_line(channel, addr),
-            Backend::Split(o) => o.level_of_channel_line(addr),
-            Backend::IndepSplit(o) => o.level_of_channel_line(channel, addr),
-        }
+        self.backend.as_ref()?.level_of_channel_line(channel, addr)
     }
 
     /// Per-tree-level wear merged across the backend's ORAM instance(s)
     /// (empty for the non-secure machine).
     pub fn level_wear(&self) -> LevelWear {
-        match &self.backend {
-            Backend::NonSecure => LevelWear::default(),
-            Backend::PathOramPlain { oram, .. } | Backend::Freecursive { oram, .. } => {
-                oram.level_wear().clone()
-            }
-            Backend::Independent(o) => o.level_wear(),
-            Backend::Split(o) => o.level_wear().clone(),
-            Backend::IndepSplit(o) => o.level_wear(),
-        }
-    }
-
-    /// Maps a physical line address onto (channel, channel-local address)
-    /// for baseline machines (line interleaving, as in `MemorySystem`).
-    fn split_lines(lines: &[u64], channels: usize) -> Vec<(usize, Vec<u64>)> {
-        let mut per: Vec<Vec<u64>> = vec![Vec::new(); channels];
-        for &addr in lines {
-            let line = addr / 64;
-            let ch = (line % channels as u64) as usize;
-            per[ch].push((line / channels as u64) * 64);
-        }
-        per.into_iter().enumerate().filter(|(_, v)| !v.is_empty()).collect()
+        self.backend.as_ref().map(|b| b.level_wear()).unwrap_or_default()
     }
 
     /// Builds the request-trace chain for one LLC miss (or LLC
@@ -436,107 +334,44 @@ impl Machine {
     /// backends differ.
     pub fn request_traces(&mut self, addr: u64, is_write: bool) -> Vec<RequestTrace> {
         let op = if is_write { Op::Write } else { Op::Read };
-        match &mut self.backend {
-            Backend::NonSecure => {
-                let channels = self.executor.channel_count();
-                let line = addr / 64;
-                let ch = (line % channels as u64) as usize;
-                let local = (line / channels as u64) * 64;
-                vec![RequestTrace::new(vec![Phase::one(Activity::Dram {
-                    channel: ch,
-                    reads: if is_write { vec![] } else { vec![local] },
-                    writes: if is_write { vec![local] } else { vec![] },
-                })])]
-            }
-            Backend::PathOramPlain { oram, channels } => {
-                let index = (addr / 64) % self.cfg.data_blocks;
-                let (_, plan) = oram.access(BlockId(index), op, Some(&[]));
-                vec![Self::baseline_path_trace(&plan, *channels)]
-            }
-            Backend::Freecursive { oram, channels } => {
-                // lint: panic-ok(invariant: ORAM machines have a frontend)
-                let frontend = self.frontend.as_mut().expect("ORAM machines have a frontend");
-                let index = (addr / 64) % self.cfg.data_blocks;
-                let mut parts = Vec::new();
-                for planned in frontend.plan_request(index, op) {
-                    let (_, plan) = oram.access(planned.id, planned.op, Some(&[]));
-                    parts.push(Self::baseline_path_trace(&plan, *channels));
-                }
-                parts
-            }
-            Backend::Independent(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
-            Backend::Split(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
-            Backend::IndepSplit(oram) => Self::plan_protocol(
-                self.frontend.as_mut(),
-                addr,
-                op,
-                self.cfg.data_blocks,
-                |id, op| oram.access(id, op, Some(&[])).1,
-            ),
+        self.requests += 1;
+        let Some(backend) = &mut self.backend else {
+            // Non-secure: one line, interleaved across the channels.
+            let channels = self.executor.channel_count();
+            let line = addr / 64;
+            let ch = (line % channels as u64) as usize;
+            let local = (line / channels as u64) * 64;
+            return vec![RequestTrace::new(vec![Phase::one(Activity::Dram {
+                channel: ch,
+                reads: if is_write { vec![] } else { vec![local] },
+                writes: if is_write { vec![local] } else { vec![] },
+            })])];
+        };
+        let index = (addr / 64) % self.cfg.data_blocks;
+        match &mut self.frontend {
+            Some(frontend) => frontend
+                .plan_request(index, op)
+                .into_iter()
+                .map(|planned| backend.access(planned.id, planned.op, Some(&[])).1)
+                .collect(),
+            None => vec![backend.access(BlockId(index), op, Some(&[])).1],
         }
-    }
-
-    /// One whole-path `accessORAM` over the baseline main-memory
-    /// channels: path read (+decrypt) then path write-back, serialized
-    /// on the single ORAM controller. Shared by the plain-PathOram and
-    /// Freecursive backends.
-    fn baseline_path_trace(plan: &oram::plan::AccessPlan, channels: usize) -> RequestTrace {
-        let mut phases = Vec::new();
-        let mut read_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.read_lines, channels) {
-            read_phase.par.push(Activity::Dram { channel: ch, reads: lines, writes: vec![] });
-        }
-        read_phase.par.push(Activity::Crypto { units: plan.read_lines.len() as u32 });
-        phases.push(read_phase);
-        let mut write_phase = Phase::default();
-        for (ch, lines) in Self::split_lines(&plan.write_lines, channels) {
-            write_phase.par.push(Activity::Dram { channel: ch, reads: vec![], writes: lines });
-        }
-        phases.push(write_phase);
-        let mut t = RequestTrace::new(phases);
-        // Data is ready after the path read; write-back drains
-        // behind it inside the serialized backend.
-        t.data_ready_phase = t.phases.len().saturating_sub(2);
-        t.backend = Some(0);
-        t
-    }
-
-    fn plan_protocol(
-        frontend: Option<&mut Frontend>,
-        addr: u64,
-        op: Op,
-        data_blocks: u64,
-        mut access: impl FnMut(BlockId, Op) -> RequestTrace,
-    ) -> Vec<RequestTrace> {
-        // lint: panic-ok(invariant: ORAM machines have a frontend)
-        let frontend = frontend.expect("ORAM machines have a frontend");
-        let index = (addr / 64) % data_blocks;
-        frontend
-            .plan_request(index, op)
-            .into_iter()
-            .map(|planned| access(planned.id, planned.op))
-            .collect()
     }
 }
 
-/// Assigns `sdimms` SDIMMs to `buses` external buses round-robin by
-/// contiguous groups (2 DIMMs per channel, as in the evaluation).
+/// Assigns `sdimms` SDIMMs to `buses` external buses by contiguous
+/// groups of equal size (2 DIMMs per channel, as in the evaluation).
+///
+/// # Panics
+///
+/// Panics unless the SDIMMs split evenly over at least one bus.
 fn bus_assignment(sdimms: usize, buses: usize) -> Vec<usize> {
-    assert!(buses >= 1 && sdimms >= buses, "need at least one SDIMM per bus");
+    assert!(
+        buses >= 1 && sdimms >= buses && sdimms.is_multiple_of(buses),
+        "{sdimms} SDIMMs do not split evenly over {buses} external buses"
+    );
     let per = sdimms / buses;
-    (0..sdimms).map(|i| (i / per).min(buses - 1)).collect()
+    (0..sdimms).map(|i| i / per).collect()
 }
 
 #[cfg(test)]
@@ -548,6 +383,23 @@ mod tests {
         assert_eq!(bus_assignment(4, 2), vec![0, 0, 1, 1]);
         assert_eq!(bus_assignment(2, 1), vec![0, 0]);
         assert_eq!(bus_assignment(2, 2), vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 SDIMMs do not split evenly over 3 external buses")]
+    fn uneven_bus_assignment_rejected_at_construction() {
+        Machine::new(SystemConfig::small(MachineKind::Independent { sdimms: 4, channels: 3 }));
+    }
+
+    #[test]
+    fn plain_path_oram_does_one_access_per_request() {
+        let mut m = Machine::new(SystemConfig::small(MachineKind::PathOram { channels: 1 }));
+        assert_eq!(m.accesses_per_request(), 0.0, "nothing planned yet");
+        for i in 0..8 {
+            assert_eq!(m.request_traces(i * 64, i % 2 == 0).len(), 1);
+        }
+        assert_eq!(m.accesses_per_request(), 1.0);
+        assert_eq!(m.metrics().gauge("frontend.accesses_per_request"), 1.0);
     }
 
     #[test]

@@ -103,87 +103,80 @@ impl RunResult {
 ///
 /// Panics if the trace is shorter than `warmup + measure`.
 pub fn run(cfg: &SystemConfig, trace: &Trace, warmup: usize, measure: usize) -> RunResult {
-    run_traced(cfg, trace, warmup, measure, TraceSink::disabled(), 0)
+    run_with(&RunSpec::new(cfg, trace, warmup, measure)).0
 }
 
-/// [`run`], with the full [`Instruments`] bundle attached: Chrome trace
-/// sink, per-cell flight recorder (keyed by `pid`), cycle-attribution
-/// profiler, and live-dashboard state. Disabled instruments cost one
-/// branch per touch point.
+/// [`run`] with a [`TraceSink`] attached under process id `pid`,
+/// additionally recording every DRAM command each channel issues so the
+/// run can be replayed through an independent constraint checker
+/// (`sdimm-audit`).
 ///
 /// # Panics
 ///
 /// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_instrumented(
+pub fn run_audited(
     cfg: &SystemConfig,
     trace: &Trace,
     warmup: usize,
     measure: usize,
-    instruments: &Instruments,
+    sink: TraceSink,
     pid: u32,
-) -> RunResult {
-    run_inner(cfg, trace, warmup, measure, instruments, pid, false, false, None).0
+) -> (RunResult, Capture) {
+    run_with(&RunSpec {
+        instruments: Instruments::with_sink(sink),
+        pid,
+        capture_cmds: true,
+        ..RunSpec::new(cfg, trace, warmup, measure)
+    })
 }
 
-/// [`run_audited`] with the full [`Instruments`] bundle attached.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_audited_instrumented(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    instruments: &Instruments,
-    pid: u32,
-) -> (RunResult, AuditCapture) {
-    let (result, capture, _, _) =
-        run_inner(cfg, trace, warmup, measure, instruments, pid, true, false, None);
-    // lint: panic-ok(invariant: capture requested)
-    (result, capture.expect("capture requested"))
+/// What to run and what to observe: one trace on one machine, with the
+/// instruments and captures the caller asks for. Every capture is off
+/// and every instrument disabled in [`RunSpec::new`]; none of them
+/// perturbs simulated timing.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// The machine to build.
+    pub cfg: &'a SystemConfig,
+    /// The L1-miss trace to replay.
+    pub trace: &'a Trace,
+    /// Leading records that only warm the LLC.
+    pub warmup: usize,
+    /// Records run cycle-accurately after the warm-up.
+    pub measure: usize,
+    /// Chrome trace sink, flight recorders (one ring per `pid`),
+    /// cycle-attribution profiler and live dashboard.
+    pub instruments: Instruments,
+    /// Trace process id of this run, so concurrent runs can share one
+    /// sink and one flight-recorder hub.
+    pub pid: u32,
+    /// Record every DRAM command each channel issues, from cycle 0
+    /// ([`Capture::streams`]).
+    pub capture_cmds: bool,
+    /// Record the cycle-stamped external-bus observable stream
+    /// ([`Capture::observables`]).
+    pub capture_observables: bool,
+    /// Track per-row wear on every channel and attribute this many
+    /// hottest rows to tree levels ([`Capture::wear`],
+    /// [`Capture::hot_rows`], [`Capture::level_wear`]).
+    pub wear_top_k: Option<usize>,
 }
 
-/// Everything the timing-leakage analyzer (`crates/leakage`) needs from
-/// one run: both attacker vantage points of the §III-G threat model.
-#[derive(Debug)]
-pub struct LeakageCapture {
-    /// Channel configuration shared by every captured channel (rank and
-    /// bank counts size the touch-distribution features).
-    pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel DRAM command streams, cycle-stamped, complete from
-    /// cycle 0 — the on-DIMM (or main-memory) bus vantage.
-    pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
-    /// The external-bus observable stream, stamped from the executor's
-    /// shared clock — the off-DIMM vantage. Empty for machines without
-    /// an external SDIMM bus (NonSecure, PathOram, Freecursive).
-    pub observables: Vec<(Cycle, sdimm::obliviousness::Observable)>,
-}
-
-/// [`run`], additionally capturing both attacker-visible streams for
-/// statistical distinguishability analysis: every DRAM command each
-/// channel issues and the cycle-stamped external-bus observable stream.
-/// Fully deterministic: same config + trace reproduce both streams
-/// byte-for-byte.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_leakage(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-) -> (RunResult, LeakageCapture) {
-    let instruments = Instruments::with_sink(TraceSink::disabled());
-    let (result, capture, observables, _) =
-        run_inner(cfg, trace, warmup, measure, &instruments, 0, true, true, None);
-    // lint: panic-ok(invariant: capture requested)
-    let capture = capture.expect("capture requested");
-    (
-        result,
-        LeakageCapture { channel_cfg: capture.channel_cfg, streams: capture.streams, observables },
-    )
+impl<'a> RunSpec<'a> {
+    /// A plain run: no instruments, no captures.
+    pub fn new(cfg: &'a SystemConfig, trace: &'a Trace, warmup: usize, measure: usize) -> Self {
+        RunSpec {
+            cfg,
+            trace,
+            warmup,
+            measure,
+            instruments: Instruments::disabled(),
+            pid: 0,
+            capture_cmds: false,
+            capture_observables: false,
+            wear_top_k: None,
+        }
+    }
 }
 
 /// One of the hottest physical rows of a run, attributed both ways: by
@@ -200,20 +193,25 @@ pub struct HotRow {
     pub levels: Vec<u32>,
 }
 
-/// Everything the reliability observatory needs from one run: the wear
-/// and disturbance state of every channel, the protocol-side per-level
-/// attribution, the hottest rows with both attributions, and the raw
-/// command streams so an independent auditor can re-derive the
-/// activation counts from first principles.
+/// What a run recorded beyond its [`RunResult`]. Each part is empty
+/// unless its [`RunSpec`] switch asked for it, and each is a pure
+/// function of the configuration and trace.
 #[derive(Debug)]
-pub struct HammerCapture {
-    /// Channel configuration shared by every captured channel (names
-    /// the standard whose hammer threshold the windows are judged
-    /// against).
+pub struct Capture {
+    /// Channel configuration shared by every channel of the machine: the
+    /// constraint table a replay auditor rebuilds, the rank and bank
+    /// counts the leakage features use, and the standard whose hammer
+    /// threshold wear windows are judged against.
     pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel command streams, complete from cycle 0, for the
-    /// replay auditor's independent ACT recount.
+    /// Per-channel DRAM command streams in channel order, complete from
+    /// the first command the channel ever issued (replaying a stream
+    /// that starts mid-flight would check against unknown bank state).
+    /// The on-DIMM (or main-memory) bus vantage of §III-G.
     pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
+    /// The external-bus observable stream, stamped from the executor's
+    /// shared clock: the off-DIMM vantage. Empty for machines without an
+    /// external SDIMM bus (NonSecure, PathOram, Freecursive).
+    pub observables: Vec<(Cycle, sdimm::obliviousness::Observable)>,
     /// Per-channel wear snapshots (measured window only).
     pub wear: Vec<WearSnapshot>,
     /// Per-tree-level wear merged across the backend's ORAM instances.
@@ -223,57 +221,16 @@ pub struct HammerCapture {
     pub hot_rows: Vec<HotRow>,
 }
 
-/// [`run`], with the per-row wear tracker enabled on every channel and
-/// command logs attached: returns the run result plus a
-/// [`HammerCapture`] for RowHammer threat reporting. Fully
-/// deterministic: same config + trace reproduce the capture exactly.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_hammer(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    top_k: usize,
-) -> (RunResult, HammerCapture) {
-    let instruments = Instruments::with_sink(TraceSink::disabled());
-    let (result, capture, _, wear) =
-        run_inner(cfg, trace, warmup, measure, &instruments, 0, true, false, Some(top_k));
-    // lint: panic-ok(invariant: captures requested)
-    let capture = capture.expect("capture requested");
-    // lint: panic-ok(invariant: captures requested)
-    let wear = wear.expect("wear capture requested");
-    (
-        result,
-        HammerCapture {
-            channel_cfg: capture.channel_cfg,
-            streams: capture.streams,
-            wear: wear.snapshots,
-            level_wear: wear.level_wear,
-            hot_rows: wear.hot_rows,
-        },
-    )
-}
-
-/// The wear part of a [`HammerCapture`], harvested while the machine is
-/// still alive (level attribution needs the backend's layouts).
-struct WearCapture {
-    snapshots: Vec<WearSnapshot>,
-    level_wear: oram::wear::LevelWear,
-    hot_rows: Vec<HotRow>,
-}
-
-/// Harvests per-channel wear snapshots and attributes each channel's
-/// `top_k` hottest rows to ORAM tree levels by re-encoding every line
-/// of the row through the channel's own address mapper.
-fn harvest_wear(machine: &Machine, top_k: usize) -> WearCapture {
-    let mut snapshots = Vec::new();
+/// Fills the wear part of `capture` while the machine is still alive
+/// (level attribution needs the backend's layouts): per-channel wear
+/// snapshots, and each channel's `top_k` hottest rows attributed to ORAM
+/// tree levels by re-encoding every line of the row through the
+/// channel's own address mapper.
+fn harvest_wear(machine: &Machine, top_k: usize, capture: &mut Capture) {
     let mut hot_rows = Vec::new();
     for i in 0..machine.executor.channel_count() {
         let ch = machine.executor.channel(i);
-        // lint: panic-ok(invariant: run_hammer enables wear before traffic)
+        // lint: panic-ok(invariant: run_with enables wear before traffic when wear_top_k is set)
         let snap = ch.wear().expect("wear enabled for hammer runs").snapshot();
         let cols = ch.config().topology.lines_per_row();
         for row in snap.hottest(top_k) {
@@ -292,64 +249,14 @@ fn harvest_wear(machine: &Machine, top_k: usize) -> WearCapture {
             levels.dedup();
             hot_rows.push(HotRow { channel: i, row, levels });
         }
-        snapshots.push(snap);
+        capture.wear.push(snap);
     }
     hot_rows.sort_by(|a, b| {
         b.row.acts.cmp(&a.row.acts).then(a.channel.cmp(&b.channel)).then(a.row.id.cmp(&b.row.id))
     });
     hot_rows.truncate(top_k);
-    WearCapture { snapshots, level_wear: machine.level_wear(), hot_rows }
-}
-
-/// Everything a differential replay auditor needs to re-validate a run:
-/// the exact per-channel DRAM configuration the machine was built with
-/// and the complete command stream of every channel, from cycle 0.
-#[derive(Debug)]
-pub struct AuditCapture {
-    /// Channel configuration shared by every captured channel.
-    pub channel_cfg: dram_sim::config::ChannelConfig,
-    /// Per-channel command streams in channel order, complete from the
-    /// first command the channel ever issued (replaying a stream that
-    /// starts mid-flight would check against unknown bank state).
-    pub streams: Vec<Vec<dram_sim::cmdlog::CmdRecord>>,
-}
-
-/// [`run_traced`], additionally recording every DRAM command each
-/// channel issues so the run can be replayed through an independent
-/// constraint checker (`sdimm-audit`). The logs attach before any
-/// traffic reaches the channels, so each stream is complete.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_audited(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    sink: TraceSink,
-    pid: u32,
-) -> (RunResult, AuditCapture) {
-    run_audited_instrumented(cfg, trace, warmup, measure, &Instruments::with_sink(sink), pid)
-}
-
-/// [`run`], but with a [`TraceSink`] attached to the machine's executor:
-/// phase spans, DRAM command events, and backend acquire/release land in
-/// `sink` under process id `pid`, so concurrent runs (one pid each) can
-/// share a sink and export a single Chrome trace.
-///
-/// # Panics
-///
-/// Panics if the trace is shorter than `warmup + measure`.
-pub fn run_traced(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    sink: TraceSink,
-    pid: u32,
-) -> RunResult {
-    run_instrumented(cfg, trace, warmup, measure, &Instruments::with_sink(sink), pid)
+    capture.hot_rows = hot_rows;
+    capture.level_wear = machine.level_wear();
 }
 
 /// Dump `flight`'s ring as a stash-bound black box: the runner calls
@@ -389,27 +296,24 @@ pub fn dump_stash_breach(
     }
 }
 
-/// Everything one [`run_inner`] invocation yields: the result plus each
-/// optional capture (present only when its capture flag was set).
-type InnerOutput = (
-    RunResult,
-    Option<AuditCapture>,
-    Vec<(Cycle, sdimm::obliviousness::Observable)>,
-    Option<WearCapture>,
-);
-
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
-    cfg: &SystemConfig,
-    trace: &Trace,
-    warmup: usize,
-    measure: usize,
-    instruments: &Instruments,
-    pid: u32,
-    capture_cmds: bool,
-    capture_obs: bool,
-    wear_top_k: Option<usize>,
-) -> InnerOutput {
+/// Runs `spec.trace` on a machine built from `spec.cfg` (see [`run`])
+/// with the instruments and captures `spec` asks for.
+///
+/// # Panics
+///
+/// Panics if the trace is shorter than `warmup + measure`.
+pub fn run_with(spec: &RunSpec<'_>) -> (RunResult, Capture) {
+    let RunSpec {
+        cfg,
+        trace,
+        warmup,
+        measure,
+        ref instruments,
+        pid,
+        capture_cmds,
+        capture_observables,
+        wear_top_k,
+    } = *spec;
     assert!(
         trace.records.len() >= warmup + measure,
         "trace too short: {} < {}",
@@ -423,7 +327,7 @@ fn run_inner(
         machine.enable_wear();
     }
     let cmd_logs = if capture_cmds { machine.executor.attach_cmd_logs() } else { Vec::new() };
-    if capture_obs {
+    if capture_observables {
         machine.set_observable_recorder();
     }
     let sink = instruments.sink.clone();
@@ -644,18 +548,29 @@ fn run_inner(
         live.cell_finished();
     }
     let plb_hit_rate = machine.plb_hit_rate();
-    let wear_capture = wear_top_k.map(|k| harvest_wear(&machine, k));
+    let mut capture = Capture {
+        channel_cfg: cfg.kind.channel_config_for(cfg.standard),
+        streams: cmd_logs.iter().map(|l| l.take()).collect(),
+        observables: machine
+            .take_observable_recorder()
+            .map(|r| r.timed_events())
+            .unwrap_or_default(),
+        wear: Vec::new(),
+        level_wear: oram::wear::LevelWear::default(),
+        hot_rows: Vec::new(),
+    };
+    if let Some(k) = wear_top_k {
+        harvest_wear(&machine, k, &mut capture);
+    }
     let mut metrics = machine.metrics();
-    if let Some(wc) = &wear_capture {
-        for (i, s) in wc.snapshots.iter().enumerate() {
-            let p = format!("dram.chan{i}.wear");
-            metrics.gauge_set(&format!("{p}.peak_window"), s.peak_window as f64);
-            metrics.gauge_set(
-                &format!("{p}.rank_act_max_over_mean"),
-                imbalance::max_over_mean(&s.per_rank_acts),
-            );
-            metrics.gauge_set(&format!("{p}.rank_act_gini"), imbalance::gini(&s.per_rank_acts));
-        }
+    for (i, s) in capture.wear.iter().enumerate() {
+        let p = format!("dram.chan{i}.wear");
+        metrics.gauge_set(&format!("{p}.peak_window"), s.peak_window as f64);
+        metrics.gauge_set(
+            &format!("{p}.rank_act_max_over_mean"),
+            imbalance::max_over_mean(&s.per_rank_acts),
+        );
+        metrics.gauge_set(&format!("{p}.rank_act_gini"), imbalance::gini(&s.per_rank_acts));
     }
     metrics.counter_add("run.cycles", cycles);
     metrics.counter_add("run.records", measure as u64);
@@ -663,15 +578,6 @@ fn run_inner(
     metrics.counter_add("run.dram_lines", dram_lines);
     metrics.histogram_set("run.miss_latency", miss_latency.clone());
     metrics.gauge_set("run.energy_nj", energy.total_nj());
-    let capture = capture_cmds.then(|| AuditCapture {
-        channel_cfg: cfg.kind.channel_config_for(cfg.standard),
-        streams: cmd_logs.iter().map(|l| l.take()).collect(),
-    });
-    let observables = if capture_obs {
-        machine.take_observable_recorder().map(|r| r.timed_events()).unwrap_or_default()
-    } else {
-        Vec::new()
-    };
     let result = RunResult {
         machine: cfg.kind.name(),
         workload: trace.name.clone(),
@@ -694,7 +600,7 @@ fn run_inner(
         dram_lines,
         metrics,
     };
-    (result, capture, observables, wear_capture)
+    (result, capture)
 }
 
 #[cfg(test)]
@@ -707,6 +613,14 @@ mod tests {
         let cfg = SystemConfig::small(kind);
         let trace = spec::generate("milc-like", 1200, 3);
         run(&cfg, &trace, 200, 400)
+    }
+
+    fn hammer(cfg: &SystemConfig, trace: &Trace, top_k: usize) -> (RunResult, Capture) {
+        run_with(&RunSpec {
+            capture_cmds: true,
+            wear_top_k: Some(top_k),
+            ..RunSpec::new(cfg, trace, 200, 400)
+        })
     }
 
     #[test]
@@ -817,7 +731,12 @@ mod tests {
         let trace = spec::generate("milc-like", 1200, 3);
         let plain = run(&cfg, &trace, 200, 400);
         let sink = TraceSink::with_capacity(1 << 16);
-        let traced = run_traced(&cfg, &trace, 200, 400, sink.clone(), 7);
+        let traced = run_with(&RunSpec {
+            instruments: Instruments::with_sink(sink.clone()),
+            pid: 7,
+            ..RunSpec::new(&cfg, &trace, 200, 400)
+        })
+        .0;
         assert_eq!(plain.cycles, traced.cycles, "tracing must not perturb timing");
         assert!(!sink.is_empty(), "sink should have captured events");
         let json = sink.export_chrome_json().expect("enabled sink exports");
@@ -828,7 +747,7 @@ mod tests {
     fn hammer_capture_reports_wear_and_level_imbalance() {
         let cfg = SystemConfig::small(MachineKind::Independent { sdimms: 2, channels: 1 });
         let trace = spec::generate("hotrow-adv", 1200, 3);
-        let (r, cap) = run_hammer(&cfg, &trace, 200, 400, 8);
+        let (r, cap) = hammer(&cfg, &trace, 8);
         assert_eq!(r.records, 400);
 
         // The engine's lifetime totals equal the per-channel stats
@@ -875,8 +794,8 @@ mod tests {
         let cfg = SystemConfig::small(MachineKind::Split { ways: 2, channels: 1 });
         let trace = spec::generate("uniform-adv", 1200, 3);
         let plain = run(&cfg, &trace, 200, 400);
-        let (a, ca) = run_hammer(&cfg, &trace, 200, 400, 4);
-        let (b, cb) = run_hammer(&cfg, &trace, 200, 400, 4);
+        let (a, ca) = hammer(&cfg, &trace, 4);
+        let (b, cb) = hammer(&cfg, &trace, 4);
         assert_eq!(plain.cycles, a.cycles, "wear tracking must not perturb timing");
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(ca.wear.len(), cb.wear.len());

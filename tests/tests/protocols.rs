@@ -9,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use sdimm::indep_split::{IndepSplitConfig, IndepSplitOram};
 use sdimm::independent::{IndependentConfig, IndependentOram};
 use sdimm::split::{SplitConfig, SplitOram};
+use sdimm::Protocol;
 
 const BLOCKS: u64 = 512;
 
@@ -88,7 +89,7 @@ fn invariants_hold_everywhere_after_workload() {
         combined.access(id, Op::Write, Some(&data));
     }
     independent.check_invariants();
-    split.check_invariant();
+    split.check_invariants();
     combined.check_invariants();
 }
 
