@@ -895,8 +895,9 @@ impl DramChannel {
         free
     }
 
-    /// Picks the best action over one queue under FR-FCFS (or FCFS).
-    fn scan_queue(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+    /// Picks the best action over one queue under FR-FCFS (or FCFS),
+    /// counting each walk of the bank index in `queue_walks`.
+    fn scan_queue(&mut self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
         let q = if write { &self.write_q } else { &self.read_q };
         let head = q.front()?;
         #[cfg(test)]
@@ -917,7 +918,12 @@ impl DramChannel {
                 } else {
                     None
                 };
-                starving.or_else(|| self.scan_banks(write, best_retry))
+                if starving.is_some() {
+                    starving
+                } else {
+                    self.stats.queue_walks += 1;
+                    self.scan_banks(write, best_retry)
+                }
             }
         };
         #[cfg(test)]
@@ -1286,7 +1292,7 @@ impl DramChannel {
     /// each pass carries forward, and the flip must land on the next
     /// cycle, before any write enqueued later can re-enter the
     /// hysteresis band.
-    fn post_issue_wake(&self) -> Cycle {
+    fn post_issue_wake(&mut self) -> Cycle {
         let next = self.now.saturating_add(1);
         if self.refresh_pending.contains(&true) || self.drain_mode() != self.draining {
             return next;
@@ -2044,8 +2050,8 @@ mod tests {
 
     /// Everything a channel did that another layer can observe: its
     /// command stream, completions, end cycle, statistics (scheduler
-    /// invocations excepted: counting them is the point of the exact
-    /// wake) and energy counters.
+    /// invocations and queue walks excepted: cutting them is the point
+    /// of the exact wake and the planned pass) and energy counters.
     type Observed =
         (Vec<crate::cmdlog::CmdRecord>, Vec<Completion>, Cycle, ChannelStats, EnergyCounters);
 
@@ -2075,6 +2081,7 @@ mod tests {
         ch.tick(3_000);
         let mut stats = ch.stats().clone();
         let invocations = std::mem::take(&mut stats.scheduler_invocations);
+        stats.queue_walks = 0;
         let energy = ch.energy_counters();
         ((log.take(), done, ch.now(), stats, energy), invocations)
     }

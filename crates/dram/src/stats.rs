@@ -42,6 +42,13 @@ pub struct ChannelStats {
     /// the elapsed cycle count on idle channels — a regression guard for
     /// the event-driven fast path.
     pub scheduler_invocations: u64,
+    /// Walks of a per-bank queue index: one per pass of the FR-FCFS
+    /// scheduler over the occupied banks of a queue, whether to pick a
+    /// command or to bound the next wake-up. Divided by the queue
+    /// commands issued (every CAS counts in `row_hits`, every ACT in
+    /// `activations`, every queue PRE in `row_conflicts`), it is the
+    /// scheduler's walks per issued command.
+    pub queue_walks: u64,
 }
 
 impl ChannelStats {
@@ -90,6 +97,7 @@ impl ChannelStats {
         self.hammer_alarms += o.hammer_alarms;
         self.stalled_cycles = self.stalled_cycles.saturating_add(o.stalled_cycles);
         self.scheduler_invocations += o.scheduler_invocations;
+        self.queue_walks += o.queue_walks;
     }
 
     /// Clears every counter and the latency histogram — the inverse of
@@ -116,6 +124,7 @@ impl ChannelStats {
         m.counter_add("stalled_cycles", self.stalled_cycles);
         m.counter_add("data_bus_busy_cycles", self.data_bus_busy_cycles);
         m.counter_add("scheduler_invocations", self.scheduler_invocations);
+        m.counter_add("queue_walks", self.queue_walks);
         m.gauge_set("row_hit_rate", self.row_hit_rate());
         m.histogram_set("read_latency", self.read_latency_hist.clone());
         m

@@ -17,9 +17,10 @@
 //! (write-drain hysteresis, over-age heads), and one running the FCFS
 //! ablation policy.
 //!
-//! One more test pins the number of scheduler passes on three cells: a
-//! wake-up made earlier than it needs to be leaves the streams alone but
-//! runs more passes, so that count is fenced exactly as well.
+//! One more test pins the number of scheduler passes and of bank-index
+//! walks on three cells: a wake-up made earlier than it needs to be, or
+//! a pass that walks the queue again, leaves the streams alone but does
+//! more work, so those counts are fenced exactly as well.
 //!
 //! A change that deliberately alters the model (new timing, a different
 //! policy) re-baselines by replacing the expected lines with the
@@ -324,19 +325,29 @@ fn fcfs_raw_channel_stream_matches_golden() {
     );
 }
 
-/// Scheduler passes per channel in a run's measured window.
-fn passes(result: &RunResult, channels: usize) -> Vec<u64> {
-    (0..channels)
-        .map(|ch| result.metrics.counter(&format!("dram.chan{ch}.scheduler_invocations")))
-        .collect()
+/// Per-channel value of the `dram.chan<i>.<key>` counter in a run's
+/// measured window.
+fn per_channel(result: &RunResult, channels: usize, key: &str) -> Vec<u64> {
+    (0..channels).map(|ch| result.metrics.counter(&format!("dram.chan{ch}.{key}"))).collect()
+}
+
+/// One cell's work-counter line: scheduler passes and bank-index walks
+/// per channel.
+fn work_line(name: &str, result: &RunResult, channels: usize) -> String {
+    format!(
+        "{name} passes={:?} walks={:?}",
+        per_channel(result, channels, "scheduler_invocations"),
+        per_channel(result, channels, "queue_walks")
+    )
 }
 
 #[test]
 fn scheduler_pass_counts_match_golden() {
-    // The work-counter fence: the exact number of scheduler passes in
-    // the measured window of three cells whose streams are pinned (the
-    // 2-channel full tree's here, beside its count). Pass counts are
-    // deterministic, so a wake-up regression fails this on any host.
+    // The work-counter fence: the exact number of scheduler passes and
+    // bank-index walks in the measured window of three cells whose
+    // streams are pinned (the 2-channel full tree's here, beside its
+    // counts). Both are deterministic, so a wake-up or walk regression
+    // fails this on any host.
     let lowpower = SystemConfig {
         standard: DramStandard::Lpddr4_3200,
         low_power: true,
@@ -350,16 +361,19 @@ fn scheduler_pass_counts_match_golden() {
     let (_, raw) = raw_channel_cell("", cfg, 0x5eed_0001);
     check(
         &[
-            format!("lowpower/lpddr4_3200/split-2 passes={:?}", passes(&lowpower, 2)),
-            format!("full/freecursive-2ch passes={:?}", passes(&freecursive, 2)),
+            work_line("lowpower/lpddr4_3200/split-2", &lowpower, 2),
+            work_line("full/freecursive-2ch", &freecursive, 2),
             stream,
-            format!("raw/ddr4-frfcfs-refresh passes={}", raw.scheduler_invocations),
+            format!(
+                "raw/ddr4-frfcfs-refresh passes={} walks={}",
+                raw.scheduler_invocations, raw.queue_walks
+            ),
         ],
         &[
-            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744]",
-            "full/freecursive-2ch passes=[50092, 49718]",
+            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744] walks=[113753, 110452]",
+            "full/freecursive-2ch passes=[50092, 49718] walks=[94498, 93749]",
             "full/freecursive-2ch cycles=206624 cmds=98812 ch0=24c46ec4349b51d4 ch1=44f3e2126a64bac4",
-            "raw/ddr4-frfcfs-refresh passes=13061",
+            "raw/ddr4-frfcfs-refresh passes=13061 walks=24243",
         ],
     );
 }
