@@ -78,21 +78,46 @@ impl PartialOrd for Pending {
     }
 }
 
-/// One bank's issuable candidates at the current cycle: the id of the
-/// CAS-ready row hit, and whether its oldest entry can ACT or PRE.
-#[derive(Debug, Default)]
-struct BankPick {
-    cas: Option<RequestId>,
-    act: bool,
-    pre: bool,
+/// One candidate per command class, indexed [`CAS`], [`ACT`], [`PRE`] —
+/// the order in which a pass ranks them — each as `(cycle, request id)`,
+/// `None` where there is none. For one bank the cycle is when the
+/// candidate can issue; it depends only on bank, rank, group and bus
+/// state, never on the current cycle, so it holds until a command
+/// issues, a rank changes power state or owes a refresh.
+type Classes = [Option<(Cycle, RequestId)>; 3];
+
+/// Index of the CAS class in [`Classes`].
+const CAS: usize = 0;
+/// Index of the ACT class in [`Classes`].
+const ACT: usize = 1;
+/// Index of the PRE class in [`Classes`].
+const PRE: usize = 2;
+
+/// The queue command of class `class` on entry `idx` of its queue.
+fn queue_decision(class: usize, write: bool, idx: usize) -> Decision {
+    match class {
+        CAS => Decision::Cas { write, idx },
+        ACT => Decision::Act { write, idx },
+        _ => Decision::Pre { write, idx },
+    }
 }
 
-/// The older of two optional candidates (ids are arrival-ordered).
-fn older(a: Option<RequestId>, b: Option<RequestId>) -> Option<RequestId> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
+/// Whether candidate `c` can issue at cycle `at`.
+fn due(c: &Option<(Cycle, RequestId)>, at: Cycle) -> bool {
+    c.is_some_and(|(ready, _)| ready <= at)
+}
+
+/// The earliest cycle over `classes`, or `Cycle::MAX` when empty.
+fn earliest(classes: &Classes) -> Cycle {
+    classes.iter().flatten().map(|&(at, _)| at).min().unwrap_or(Cycle::MAX)
+}
+
+/// Folds one bank's candidates into `picks`, keeping per class the one
+/// that sorts first by `(cycle clamped to base, id)`.
+fn fold(picks: &mut Classes, bank: Classes, base: Cycle) {
+    for (pick, cand) in picks.iter_mut().zip(bank) {
+        let cand = cand.map(|(at, id)| (at.max(base), id));
+        *pick = (*pick).into_iter().chain(cand).min();
     }
 }
 
@@ -197,8 +222,20 @@ pub struct DramChannel {
     /// [`post_issue_wake`](Self::post_issue_wake)), so the channel does
     /// not wake only to learn when to wake next.
     next_wake: Cycle,
+    /// The queue command the pass at `next_wake` will issue, worked out
+    /// by the post-issue walk that set it (see
+    /// [`post_issue_wake`](Self::post_issue_wake)). Every pass takes it;
+    /// an enqueue or a rank pin or wake drops it.
+    planned: Option<(Cycle, Decision)>,
+    /// The per-class picks of the last walk of one queue (`true`: the
+    /// write queue), each clamped to no earlier than the next pass: what
+    /// a fresh walk at that pass would give, so FR-FCFS passes read it
+    /// instead of walking. An enqueue into that queue folds its bank in
+    /// ([`extend_walk`](Self::extend_walk)); any command, power-state
+    /// change or newly owed refresh drops it.
+    walked: Option<(bool, Classes)>,
     /// Test-only reference mode: run the scheduler on every cycle,
-    /// ignoring `next_wake`.
+    /// ignoring `next_wake` and `planned`.
     #[cfg(test)]
     poll_every_cycle: bool,
     /// Per-rank background-energy accounting mark.
@@ -290,6 +327,8 @@ impl DramChannel {
             bus_last_rank: None,
             bus_last_write: None,
             next_wake: 0,
+            planned: None,
+            walked: None,
             #[cfg(test)]
             poll_every_cycle: false,
             pending: BinaryHeap::new(),
@@ -450,7 +489,8 @@ impl DramChannel {
         let bidx = self.flat_bank(&coords);
         self.read_index.push(bidx, id, coords.row);
         self.read_q.push_back(QEntry { req, coords, bidx });
-        self.next_wake = self.now;
+        self.wake_now();
+        self.extend_walk(false, bidx);
         Some(id)
     }
 
@@ -468,7 +508,8 @@ impl DramChannel {
         let bidx = self.flat_bank(&coords);
         self.write_index.push(bidx, id, coords.row);
         self.write_q.push_back(QEntry { req, coords, bidx });
-        self.next_wake = self.now;
+        self.wake_now();
+        self.extend_walk(true, bidx);
         Some(id)
     }
 
@@ -476,7 +517,7 @@ impl DramChannel {
     /// The rank is woken automatically if a request targets it.
     pub fn force_rank_down(&mut self, rank: usize) {
         self.forced_down[rank] = true;
-        self.next_wake = self.now;
+        self.wake_now();
     }
 
     /// Releases a pinned rank and begins its wakeup immediately so tXP is
@@ -484,14 +525,14 @@ impl DramChannel {
     /// "early enough to hide the wakeup latency").
     pub fn wake_rank(&mut self, rank: usize) {
         self.forced_down[rank] = false;
+        self.walked = None;
         self.account_bg(rank);
         let was_down = matches!(self.ranks[rank].power_state(), PowerState::PowerDown { .. });
-        let t = self.cfg.timing.clone();
-        self.ranks[rank].exit_power_down(self.now, &t);
+        self.ranks[rank].exit_power_down(self.now, &self.cfg.timing);
         if was_down {
             self.log_cmd(self.now, rank, DdrCmd::PowerUp);
         }
-        self.next_wake = self.now;
+        self.wake_now();
         if self.sink.is_enabled() {
             self.sink.instant(
                 "dram.power",
@@ -501,6 +542,13 @@ impl DramChannel {
                 self.now,
             );
         }
+    }
+
+    /// Runs a full pass at the current cycle: queue or rank state changed
+    /// outside a pass, so a plan made on the old state no longer holds.
+    fn wake_now(&mut self) {
+        self.next_wake = self.now;
+        self.planned = None;
     }
 
     /// Power state of `rank` (for tests and the low-power experiments).
@@ -842,9 +890,9 @@ impl DramChannel {
             match self.ranks[i].power_state() {
                 PowerState::PowerDown { .. } => {
                     if has_work {
+                        self.walked = None;
                         self.account_bg(i);
-                        let t = self.cfg.timing.clone();
-                        self.ranks[i].exit_power_down(self.now, &t);
+                        self.ranks[i].exit_power_down(self.now, &self.cfg.timing);
                         self.log_cmd(self.now, i, DdrCmd::PowerUp);
                         if self.sink.is_enabled() {
                             self.sink.instant(
@@ -861,6 +909,7 @@ impl DramChannel {
                     if self.rank_open_banks[i] == 0
                         && self.power_wake(i).is_some_and(|at| at <= self.now)
                     {
+                        self.walked = None;
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
                         self.log_cmd(self.now, i, DdrCmd::PowerDown);
@@ -895,15 +944,24 @@ impl DramChannel {
         free
     }
 
-    /// Picks the best action over one queue under FR-FCFS (or FCFS),
-    /// counting each walk of the bank index in `queue_walks`.
+    /// Picks the best action over one queue under FR-FCFS (or FCFS).
+    /// FR-FCFS reads the per-class picks of the last walk of this queue
+    /// while they hold (see [`walked`](Self::walked)) and otherwise
+    /// walks the bank index afresh, counting the walk in `queue_walks`.
     fn scan_queue(&mut self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
         let q = if write { &self.write_q } else { &self.read_q };
         let head = q.front()?;
         #[cfg(test)]
         let retry_in = *best_retry;
         let decision = match self.cfg.scheduler {
-            SchedulerPolicy::Fcfs => self.eval_head(head, write, best_retry),
+            SchedulerPolicy::Fcfs => {
+                let own = self.head_ready(head, write);
+                let class = own.iter().position(|c| due(c, self.now));
+                if class.is_none() {
+                    *best_retry = (*best_retry).min(earliest(&own));
+                }
+                class.map(|class| queue_decision(class, write, 0))
+            }
             // Anti-starvation: an over-age head-of-queue is served ahead
             // of younger row hits — but only when one of its commands
             // can actually issue. A head that is stuck for reasons no
@@ -911,139 +969,176 @@ impl DramChannel {
             // its precharge, the tFAW window) must not idle the whole
             // channel, so when the head yields nothing the scan falls
             // back to plain FR-FCFS over the whole queue.
-            SchedulerPolicy::FrFcfs => {
-                let head_age = self.now.saturating_sub(head.req.arrival);
-                let starving = if head_age > STARVATION_LIMIT {
-                    self.eval_head(head, write, best_retry)
-                } else {
-                    None
-                };
-                if starving.is_some() {
-                    starving
-                } else {
-                    self.stats.queue_walks += 1;
-                    self.scan_banks(write, best_retry)
+            SchedulerPolicy::FrFcfs => match self.starving_head(write, self.now) {
+                Some(d) => Some(d),
+                None => {
+                    let picks = match self.walked {
+                        Some((w, picks)) if w == write && self.walk_reusable() => picks,
+                        _ => {
+                            self.stats.queue_walks += 1;
+                            let picks = self.walk(write, self.now);
+                            self.walked = Some((write, picks));
+                            picks
+                        }
+                    };
+                    let decision = self.class_pick(write, &picks, self.now);
+                    if decision.is_none() {
+                        *best_retry = (*best_retry).min(earliest(&picks));
+                    }
+                    decision
                 }
-            }
+            },
         };
         #[cfg(test)]
         self.cross_check_scan(write, retry_in, decision, *best_retry);
         decision
     }
 
-    /// Single-entry evaluation of the queue head (FCFS, and the
-    /// anti-starvation check): its one command if issuable, otherwise
-    /// its earliest-legal time lowers `best_retry`.
-    fn eval_head(&self, head: &QEntry, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
-        let bc = &self.bank_cache[head.bidx as usize];
-        let hit = (bc.open_row == head.coords.row).then_some(head.req.id);
-        let pick = self.eval_bank(head.bidx as usize, write, head.coords.row, hit, best_retry);
-        if pick.cas.is_some() {
-            Some(Decision::Cas { write, idx: 0 })
-        } else if pick.act {
-            Some(Decision::Act { write, idx: 0 })
-        } else if pick.pre {
-            Some(Decision::Pre { write, idx: 0 })
-        } else {
-            None
+    /// Whether a pass may read the cached walk: always, except in the
+    /// test-only poll-every-cycle reference, which walks on every pass.
+    fn walk_reusable(&self) -> bool {
+        #[cfg(test)]
+        if self.poll_every_cycle {
+            return false;
         }
+        true
     }
 
-    /// Full-queue FR-FCFS over the per-bank index: an issuable CAS wins,
-    /// otherwise the oldest issuable ACT, then the oldest issuable PRE.
-    /// Every issuability bound depends only on bank, rank, group and bus
-    /// state, so each occupied bank contributes at most one fixed
-    /// candidate per command class (see [`eval_bank`](Self::eval_bank))
-    /// and the oldest candidate per class is the entry a linear scan of
-    /// the queue would have chosen. Blocked candidates lower
-    /// `best_retry` exactly as the linear scan's entries would.
-    fn scan_banks(&self, write: bool, best_retry: &mut Cycle) -> Option<Decision> {
+    /// The over-age queue head's own command, if the head is past the
+    /// starvation limit at cycle `at` and one of its commands can issue
+    /// then.
+    fn starving_head(&self, write: bool, at: Cycle) -> Option<Decision> {
+        let q = if write { &self.write_q } else { &self.read_q };
+        let head = q.front()?;
+        if at.saturating_sub(head.req.arrival) <= STARVATION_LIMIT {
+            return None;
+        }
+        let own = self.head_ready(head, write);
+        own.iter().position(|c| due(c, at)).map(|class| queue_decision(class, write, 0))
+    }
+
+    /// The queue head's own candidates: its CAS when its row is open,
+    /// its ACT or PRE otherwise (see [`bank_ready`](Self::bank_ready)).
+    fn head_ready(&self, head: &QEntry, write: bool) -> Classes {
+        let bidx = head.bidx as usize;
+        let hit = (self.bank_cache[bidx].open_row == head.coords.row).then_some(head.req.id);
+        self.bank_ready(bidx, write, (head.req.id, head.coords.row), hit)
+    }
+
+    /// The oldest candidate of the first class in `picks` (CAS, then
+    /// ACT, then PRE) that can issue at cycle `at`. Every pick must sort
+    /// no earlier than `at`, so the candidates issuable at `at` are
+    /// exactly those whose clamped cycle is `at`, and each class's pick
+    /// is the oldest of them: the entry a linear scan of the queue
+    /// would choose.
+    fn class_pick(&self, write: bool, picks: &Classes, at: Cycle) -> Option<Decision> {
+        let class = picks.iter().position(|c| due(c, at))?;
+        let (_, id) = picks[class]?;
+        Some(queue_decision(class, write, self.queue_pos(write, id)))
+    }
+
+    /// One walk over the occupied banks of a queue: for each command
+    /// class the candidate that sorts first by `(issue cycle clamped to
+    /// base, id)` — the oldest candidate issuable by `base`, else the
+    /// oldest of those issuable earliest. Every issuability bound
+    /// depends only on bank, rank, group and bus state, so each occupied
+    /// bank contributes at most one fixed candidate per class (see
+    /// [`bank_ready`](Self::bank_ready)).
+    fn walk(&self, write: bool, base: Cycle) -> Classes {
         let index = if write { &self.write_index } else { &self.read_index };
-        let (mut cas, mut act, mut pre) = (None, None, None);
+        let mut picks = Classes::default();
         let mut mask = index.occupied;
         while mask != 0 {
             let bidx = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let list = &index.lists[bidx];
-            let open_row = self.bank_cache[bidx].open_row;
-            let (oldest, oldest_row) = list[0];
-            let hit = if open_row == NO_ROW {
-                None
-            } else {
-                list.iter().find(|&&(_, row)| row == open_row).map(|&(id, _)| id)
-            };
-            let pick = self.eval_bank(bidx, write, oldest_row, hit, best_retry);
-            cas = older(cas, pick.cas);
-            if pick.act {
-                act = older(act, Some(oldest));
-            }
-            if pick.pre {
-                pre = older(pre, Some(oldest));
-            }
+            let (oldest, hit) = self.bank_entries(index, bidx);
+            fold(&mut picks, self.bank_ready(bidx, write, oldest, hit), base);
         }
-        let q = if write { &self.write_q } else { &self.read_q };
-        let idx = |id: RequestId| {
-            // lint: panic-ok(invariant: the index mirrors the queue)
-            q.binary_search_by_key(&id, |e| e.req.id).expect("indexed entry is queued")
-        };
-        if let Some(id) = cas {
-            Some(Decision::Cas { write, idx: idx(id) })
-        } else if let Some(id) = act {
-            Some(Decision::Act { write, idx: idx(id) })
-        } else {
-            pre.map(|id| Decision::Pre { write, idx: idx(id) })
-        }
+        picks
     }
 
-    /// Evaluates one bank's candidates at `now`. `oldest_row` is the row
-    /// of the bank's oldest queued entry, `hit` the id of its oldest
-    /// entry on the open row, if any:
+    /// Folds bank `bidx`'s candidates into the cached walk of its queue
+    /// after an enqueue there. An enqueue only adds candidates — the
+    /// new entry is the youngest of its bank, so the bank's oldest entry
+    /// and oldest row hit stay candidates — and the pass it forces runs
+    /// at `now`, so clamping the bank's cycles to `now` keeps the picks
+    /// exactly what a walk at that pass would give.
+    fn extend_walk(&mut self, write: bool, bidx: u32) {
+        let Some((w, mut picks)) = self.walked else { return };
+        if w != write {
+            return;
+        }
+        let index = if write { &self.write_index } else { &self.read_index };
+        let (oldest, hit) = self.bank_entries(index, bidx as usize);
+        fold(&mut picks, self.bank_ready(bidx as usize, write, oldest, hit), self.now);
+        self.walked = Some((w, picks));
+    }
+
+    /// Position of queued request `id` in its queue.
+    fn queue_pos(&self, write: bool, id: RequestId) -> usize {
+        let q = if write { &self.write_q } else { &self.read_q };
+        // lint: panic-ok(invariant: the index mirrors the queue)
+        q.binary_search_by_key(&id, |e| e.req.id).expect("indexed entry is queued")
+    }
+
+    /// Occupied bank `bidx` of `index`: its oldest entry as `(id, row)`,
+    /// and the id of its oldest entry on the open row, if any.
+    fn bank_entries(
+        &self,
+        index: &BankIndex,
+        bidx: usize,
+    ) -> ((RequestId, usize), Option<RequestId>) {
+        let list = &index.lists[bidx];
+        let open_row = self.bank_cache[bidx].open_row;
+        let hit = if open_row == NO_ROW {
+            None
+        } else {
+            list.iter().find(|&&(_, row)| row == open_row).map(|&(id, _)| id)
+        };
+        (list[0], hit)
+    }
+
+    /// One bank's candidates and the cycle from which each can issue.
+    /// `oldest` is the bank's oldest queued entry as `(id, row)`, `hit`
+    /// the id of its oldest entry on the open row, if any:
     ///
-    /// - CAS: `hit`, when the open row is CAS-ready;
+    /// - CAS: `hit`, once the open row is CAS-ready;
     /// - ACT: the oldest entry, when the bank is idle and its rank owes
     ///   no refresh;
     /// - PRE: the oldest entry, only when it is a row conflict (an older
     ///   entry that still wants the open row suppresses the precharge).
     ///
-    /// Issuable candidates are set in the returned pick; blocked ones lower
-    /// `best_retry` (CAS by its ready time, ACT/PRE by their ready time
-    /// clamped to the next cycle).
-    fn eval_bank(
+    /// The one statement of the scheduler's timing rules: every pass,
+    /// walk and plan reads it.
+    fn bank_ready(
         &self,
         bidx: usize,
         write: bool,
-        oldest_row: usize,
+        oldest: (RequestId, usize),
         hit: Option<RequestId>,
-        best_retry: &mut Cycle,
-    ) -> BankPick {
-        let mut pick = BankPick::default();
+    ) -> Classes {
+        let mut ready = Classes::default();
         let bc = &self.bank_cache[bidx];
         let (r, group) = self.bank_home[bidx];
         let rank = &self.ranks[r];
-        let next = self.now.saturating_add(1);
         if bc.open_row == NO_ROW {
             // Idle bank: ACT candidate — unless a refresh is owed, in
             // which case no new rows may open on that rank.
             if !self.refresh_pending[r] {
-                let ready =
-                    bc.next_act.max(rank.next_act_allowed()).max(rank.act_group_bound(group));
-                if ready <= self.now {
-                    pick.act = true;
-                } else {
-                    *best_retry = (*best_retry).min(ready.max(next));
-                }
+                let at = bc.next_act.max(rank.next_act_allowed()).max(rank.act_group_bound(group));
+                ready[ACT] = Some((at, oldest.0));
             }
-            return pick;
+            return ready;
         }
         if let Some(id) = hit {
             // tCCD_S rank-wide plus tCCD_L within the bank group.
-            let mut ready = bc
+            let mut at = bc
                 .next_cas
                 .max(rank.ready_at())
                 .max(rank.cas_allowed_rank())
                 .max(rank.cas_group_bound(group));
             if !write {
-                ready = ready.max(self.rank_next_read[r]);
+                at = at.max(self.rank_next_read[r]);
             }
             // The CAS must be timed so its burst clears the shared bus:
             // a CAS at cycle `c` occupies the bus over
@@ -1059,24 +1154,15 @@ impl DramChannel {
             let data_latency = if write { t.cwl } else { t.cl };
             let bus_free = self.bus_ready_for(r, write);
             if bus_free > data_latency {
-                ready = ready.max(bus_free - data_latency);
+                at = at.max(bus_free - data_latency);
             }
-            if ready <= self.now {
-                pick.cas = Some(id);
-            } else {
-                *best_retry = (*best_retry).min(ready);
-            }
+            ready[CAS] = Some((at, id));
         }
-        if oldest_row != bc.open_row {
+        if oldest.1 != bc.open_row {
             // Row conflict at the head of the bank: precharge candidate.
-            let ready = bc.next_pre.max(rank.ready_at());
-            if ready <= self.now {
-                pick.pre = true;
-            } else {
-                *best_retry = (*best_retry).min(ready.max(next));
-            }
+            ready[PRE] = Some((bc.next_pre.max(rank.ready_at()), oldest.0));
         }
-        pick
+        ready
     }
 
     /// Asserts that the indexed decision equals the linear scan's.
@@ -1097,6 +1183,53 @@ impl DramChannel {
         if decision.is_none() {
             assert_eq!(retry_out, reference_retry, "indexed retry diverged at cycle {}", self.now);
         }
+    }
+
+    /// Asserts that the planning walk's wake equals the bound the linear
+    /// reference scan gives on the same state: the next cycle if any
+    /// candidate is issuable now, else its earliest retry or `timer`.
+    #[cfg(test)]
+    fn cross_check_wake(&self, write: bool, timer: Cycle, wake: Cycle) {
+        let mut retry = timer;
+        let reference = if self.reference_scan_queue(write, &mut retry).is_some() {
+            self.now.saturating_add(1)
+        } else {
+            self.wake_at(retry)
+        };
+        assert_eq!(wake, reference, "post-issue wake diverged at cycle {}", self.now);
+    }
+
+    /// Asserts, on a planned pass, everything that lets it skip the
+    /// power, refresh and maintenance checks and the queue scan: no
+    /// refresh owed or due, no timer edge now, drain mode steady, no
+    /// rank powered down with queued work — and that the queue scan at
+    /// this cycle returns the planned decision. The scan's walk is not
+    /// counted: it is this check's, not the channel's.
+    #[cfg(test)]
+    fn cross_check_plan(&mut self, planned: Decision) {
+        let now = self.now;
+        for (i, rank) in self.ranks.iter().enumerate() {
+            assert!(
+                !(self.refresh_pending[i] || self.cfg.refresh_enabled && rank.refresh_due(now)),
+                "planned pass at cycle {now} with a refresh owed on rank {i}"
+            );
+            assert!(
+                self.rank_queued[i] == 0 || matches!(rank.power_state(), PowerState::Active),
+                "planned pass at cycle {now} with rank {i} powered down over queued work"
+            );
+        }
+        assert!(self.timer_wake() > now, "planned pass at cycle {now} on a timer edge");
+        assert_eq!(
+            self.drain_mode(),
+            self.draining,
+            "planned pass at cycle {now} flips drain mode"
+        );
+        let walks = self.stats.queue_walks;
+        let write = self.draining || self.read_q.is_empty();
+        let mut retry = Cycle::MAX;
+        let scanned = self.scan_queue(write, &mut retry);
+        self.stats.queue_walks = walks;
+        assert_eq!(scanned, Some(planned), "planned decision diverged at cycle {now}");
     }
 
     /// The linear FR-FCFS queue scan the per-bank index replaced, kept
@@ -1191,14 +1324,16 @@ impl DramChannel {
         // Refresh has priority once due: mark pending, close banks, issue.
         if self.cfg.refresh_enabled {
             for i in 0..self.ranks.len() {
-                if self.ranks[i].refresh_due(self.now) {
+                if !self.refresh_pending[i] && self.ranks[i].refresh_due(self.now) {
+                    // The rank's idle banks stop offering ACTs (and a
+                    // powered-down rank wakes below, in this pass only).
                     self.refresh_pending[i] = true;
+                    self.walked = None;
                 }
                 if self.refresh_pending[i] {
                     if let PowerState::PowerDown { .. } = self.ranks[i].power_state() {
                         self.account_bg(i);
-                        let t = self.cfg.timing.clone();
-                        self.ranks[i].exit_power_down(self.now, &t);
+                        self.ranks[i].exit_power_down(self.now, &self.cfg.timing);
                         self.log_cmd(self.now, i, DdrCmd::PowerUp);
                     }
                     if self.rank_open_banks[i] == 0 {
@@ -1292,17 +1427,50 @@ impl DramChannel {
     /// each pass carries forward, and the flip must land on the next
     /// cycle, before any write enqueued later can re-enter the
     /// hysteresis band.
+    ///
+    /// Under FR-FCFS the walk's picks are kept for the passes that
+    /// follow (see [`walked`](Self::walked)), and they plan the pass at
+    /// the wake `W`: the over-age head's own command if it is due at
+    /// `W`, else CAS, then ACT, then PRE, as
+    /// [`scan_queue`](Self::scan_queue) ranks them. The plan is kept
+    /// only when nothing but the queue scan can act at `W`: `W` comes
+    /// before every refresh deadline and power edge. Nothing but time
+    /// changes until then — an enqueue or a rank pin or wake drops the
+    /// plan — so the pass at `W` would issue exactly the planned
+    /// command.
     fn post_issue_wake(&mut self) -> Cycle {
         let next = self.now.saturating_add(1);
         if self.refresh_pending.contains(&true) || self.drain_mode() != self.draining {
             return next;
         }
-        let mut wake = self.timer_wake();
+        let timer = self.timer_wake();
         let write = self.draining || self.read_q.is_empty();
-        if self.scan_queue(write, &mut wake).is_some() {
-            return next;
+        let q = if write { &self.write_q } else { &self.read_q };
+        if q.is_empty() {
+            return self.wake_at(timer);
         }
-        self.wake_at(wake)
+        if matches!(self.cfg.scheduler, SchedulerPolicy::Fcfs) {
+            let mut wake = timer;
+            return if self.scan_queue(write, &mut wake).is_some() {
+                next
+            } else {
+                self.wake_at(wake)
+            };
+        }
+        self.stats.queue_walks += 1;
+        let picks = self.walk(write, next);
+        self.walked = Some((write, picks));
+        let wake = self.wake_at(earliest(&picks).min(timer));
+        #[cfg(test)]
+        self.cross_check_wake(write, timer, wake);
+        if wake < timer {
+            // `wake` is the earliest pick's cycle: the pass there finds
+            // the over-age head or the class picks due at `wake`.
+            let planned = self.starving_head(write, wake);
+            self.planned =
+                planned.or_else(|| self.class_pick(write, &picks, wake)).map(|d| (wake, d));
+        }
+        wake
     }
 
     /// `next_wake` for a pass whose bound is `retry`: never before the
@@ -1317,14 +1485,27 @@ impl DramChannel {
     }
 
     /// Runs one scheduler pass at the current cycle: issues at most one
-    /// command and sets `next_wake`.
+    /// command and sets `next_wake`. A pass the previous post-issue walk
+    /// planned issues its command without the power and refresh checks
+    /// and the queue scan, which would find exactly that command.
     fn schedule_once(&mut self) {
         #[cfg(debug_assertions)]
         self.debug_validate_caches();
-        self.manage_power();
-        let decision = self.decide();
+        let planned = self.planned.take().filter(|&(at, _)| at == self.now);
+        #[cfg(test)]
+        let planned = planned.filter(|_| !self.poll_every_cycle);
+        let decision = match planned {
+            Some((_, decision)) => {
+                #[cfg(test)]
+                self.cross_check_plan(decision);
+                decision
+            }
+            None => {
+                self.manage_power();
+                self.decide()
+            }
+        };
         if let Decision::Idle { retry_at } = decision {
-            // The hot no-issue path: skip the timing clone below.
             self.next_wake = self.wake_at(retry_at);
             // Blocked with work queued: start (or continue) a stall
             // interval. Cycles accrue in `settle_stall` as time
@@ -1353,12 +1534,12 @@ impl DramChannel {
 
     /// Applies an issuing decision at the current cycle.
     fn issue(&mut self, decision: Decision) {
-        let t = self.cfg.timing.clone();
+        self.walked = None;
         match decision {
             Decision::Refresh { rank } => {
                 self.account_bg(rank);
                 self.log_cmd(self.now, rank, DdrCmd::Refresh);
-                self.ranks[rank].begin_refresh(self.now, &t);
+                self.ranks[rank].begin_refresh(self.now, &self.cfg.timing);
                 for b in 0..self.cfg.topology.banks {
                     self.sync_bank_cache(rank, b);
                 }
@@ -1381,7 +1562,7 @@ impl DramChannel {
             Decision::MaintenancePre { rank, bank } => {
                 self.account_bg(rank);
                 self.log_cmd(self.now, rank, DdrCmd::Pre { bank });
-                self.ranks[rank].bank_mut(bank).precharge(self.now, &t);
+                self.ranks[rank].bank_mut(bank).precharge(self.now, &self.cfg.timing);
                 self.ranks[rank].record_activity(self.now);
                 self.rank_open_banks[rank] -= 1;
                 self.sync_bank_cache(rank, bank);
@@ -1398,10 +1579,10 @@ impl DramChannel {
                 self.ranks[e.coords.rank].bank_mut(e.coords.bank).activate(
                     self.now,
                     e.coords.row,
-                    &t,
+                    &self.cfg.timing,
                 );
                 let (_, group) = self.bank_home[e.bidx as usize];
-                self.ranks[e.coords.rank].record_activate(self.now, group, &t);
+                self.ranks[e.coords.rank].record_activate(self.now, group, &self.cfg.timing);
                 self.rank_open_banks[e.coords.rank] += 1;
                 self.sync_bank_cache(e.coords.rank, e.coords.bank);
                 self.energy.activates += 1;
@@ -1432,7 +1613,9 @@ impl DramChannel {
                 let e = if write { self.write_q[idx] } else { self.read_q[idx] };
                 self.account_bg(e.coords.rank);
                 self.log_cmd(self.now, e.coords.rank, DdrCmd::Pre { bank: e.coords.bank });
-                self.ranks[e.coords.rank].bank_mut(e.coords.bank).precharge(self.now, &t);
+                self.ranks[e.coords.rank]
+                    .bank_mut(e.coords.bank)
+                    .precharge(self.now, &self.cfg.timing);
                 self.ranks[e.coords.rank].record_activity(self.now);
                 self.rank_open_banks[e.coords.rank] -= 1;
                 self.sync_bank_cache(e.coords.rank, e.coords.bank);
@@ -1450,7 +1633,9 @@ impl DramChannel {
     }
 
     fn issue_cas(&mut self, write: bool, idx: usize) {
-        let t = self.cfg.timing.clone();
+        let t = &self.cfg.timing;
+        let data_latency = if write { t.cwl } else { t.cl };
+        let (t_burst, t_wtr) = (t.t_burst, t.t_wtr);
         let e = if write {
             // lint: panic-ok(invariant: scanned index)
             let e = self.write_q.remove(idx).expect("scanned index");
@@ -1473,9 +1658,8 @@ impl DramChannel {
             self.stats.row_hits += 1;
         }
 
-        let data_latency = if write { t.cwl } else { t.cl };
         let data_start = self.now.saturating_add(data_latency);
-        let data_end = data_start.saturating_add(t.t_burst);
+        let data_end = data_start.saturating_add(t_burst);
 
         let cmd = if write {
             DdrCmd::Wr { bank: bank_idx, row: e.coords.row }
@@ -1485,20 +1669,20 @@ impl DramChannel {
         self.log_cmd(self.now, rank_idx, cmd);
 
         if write {
-            self.ranks[rank_idx].bank_mut(bank_idx).write(self.now, &t);
+            self.ranks[rank_idx].bank_mut(bank_idx).write(self.now, &self.cfg.timing);
             self.rank_next_read[rank_idx] =
-                self.rank_next_read[rank_idx].max(data_end.saturating_add(t.t_wtr));
+                self.rank_next_read[rank_idx].max(data_end.saturating_add(t_wtr));
             self.energy.writes += 1;
             if let Some(w) = self.wear.as_deref_mut() {
                 w.on_write(rank_idx, bank_idx, e.coords.row);
             }
         } else {
-            self.ranks[rank_idx].bank_mut(bank_idx).read(self.now, &t);
+            self.ranks[rank_idx].bank_mut(bank_idx).read(self.now, &self.cfg.timing);
             self.energy.reads += 1;
         }
         self.sync_bank_cache(rank_idx, bank_idx);
         let (_, group) = self.bank_home[e.bidx as usize];
-        self.ranks[rank_idx].record_cas(self.now, group, &t);
+        self.ranks[rank_idx].record_cas(self.now, group, &self.cfg.timing);
 
         self.sink.instant(
             "dram.cmd",
@@ -1511,7 +1695,7 @@ impl DramChannel {
         self.bus_free_at = data_end;
         self.bus_last_rank = Some(rank_idx);
         self.bus_last_write = Some(write);
-        self.stats.data_bus_busy_cycles = self.stats.data_bus_busy_cycles.saturating_add(t.t_burst);
+        self.stats.data_bus_busy_cycles = self.stats.data_bus_busy_cycles.saturating_add(t_burst);
         self.energy.io_bits += (self.cfg.topology.line_bytes * 8) as u64;
 
         self.pending.push(Pending {
@@ -2166,6 +2350,114 @@ mod tests {
             .collect();
         let (exact, reference) = assert_wake_differential(wake_cfg(1, true, Some(40), false), &ops);
         assert!(exact * 2 < reference, "exact wake ran {exact} passes, polling {reference}");
+    }
+
+    /// Runs the planned-wake scenario of
+    /// [`enqueue_at_the_planned_wake_replans`]: two reads to idle banks
+    /// (the second ACT waits tRRD, so an ACT is planned), a tick to
+    /// exactly `wake` (or to the planned wake when `None`), then a row
+    /// hit on a long-open bank enqueued there. Returns the wake used,
+    /// the command stream and the completions.
+    fn run_planned_wake_enqueue(
+        poll: bool,
+        wake: Option<Cycle>,
+    ) -> (Cycle, Vec<crate::cmdlog::CmdRecord>, Vec<Completion>) {
+        let mut ch = DramChannel::new(quiet_cfg());
+        ch.poll_every_cycle = poll;
+        let log = CmdLog::enabled();
+        ch.set_cmd_log(log.clone());
+        // Open row 0 of bank 0 and retire its read: the row stays open.
+        ch.enqueue_read(addr_of(&ch, 0, 0, 0, 0)).unwrap();
+        let mut done = ch.run_until_idle(10_000);
+        ch.enqueue_read(addr_of(&ch, 0, 1, 0, 0)).unwrap();
+        ch.enqueue_read(addr_of(&ch, 0, 2, 0, 0)).unwrap();
+        ch.tick(1);
+        let wake = wake.unwrap_or_else(|| {
+            let (at, planned) = ch.planned.expect("the post-issue walk planned a pass");
+            assert!(matches!(planned, Decision::Act { .. }), "planned {planned:?}");
+            assert_eq!(at, ch.next_wake);
+            at
+        });
+        // `tick` stops at `wake` without running the pass there.
+        ch.tick(wake - ch.now());
+        assert_eq!(ch.now(), wake);
+        ch.enqueue_read(addr_of(&ch, 0, 0, 0, 1)).unwrap();
+        done.extend(ch.run_until_idle(10_000));
+        (wake, log.take(), done)
+    }
+
+    #[test]
+    fn enqueue_at_the_planned_wake_replans() {
+        // An enqueue on exactly the cycle of a planned pass is the one
+        // case only the enqueue's invalidation guards: the plan (an ACT)
+        // was made before the row hit existed, and the pass must issue
+        // the hit's CAS first, as the poll-every-cycle reference does.
+        let (wake, exact, exact_done) = run_planned_wake_enqueue(false, None);
+        let (_, reference, reference_done) = run_planned_wake_enqueue(true, Some(wake));
+        assert_eq!(exact, reference, "command streams differ");
+        assert_eq!(exact_done, reference_done, "completions differ");
+        assert!(
+            exact.iter().any(|r| r.cycle == wake && r.cmd == DdrCmd::Rd { bank: 0, row: 0 }),
+            "the row hit must CAS at the planned wake {wake}: {exact:?}"
+        );
+    }
+
+    /// Runs `drive` on a channel built from `cfg` and on the
+    /// poll-every-cycle reference, and asserts equal command streams and
+    /// completions.
+    fn assert_matches_poll(cfg: ChannelConfig, drive: impl Fn(&mut DramChannel)) {
+        let run = |poll: bool| {
+            let mut ch = DramChannel::new(cfg.clone());
+            ch.poll_every_cycle = poll;
+            let log = CmdLog::enabled();
+            ch.set_cmd_log(log.clone());
+            drive(&mut ch);
+            let done = ch.run_until_idle(100_000);
+            (log.take(), done)
+        };
+        let (exact, reference) = (run(false), run(true));
+        assert_eq!(exact.0, reference.0, "command streams differ");
+        assert_eq!(exact.1, reference.1, "completions differ");
+    }
+
+    #[test]
+    fn cached_walk_is_dropped_when_a_refresh_falls_due() {
+        // The walk after a CAS is cached at cycle `R - 1`, one cycle
+        // before rank 0's refresh falls due at `R`. A read to an idle
+        // bank enqueued at `R` joins the cache as an ACT ready at once.
+        // The pass at `R` marks the refresh owed: the rank's idle banks
+        // stop offering ACTs, and the open bank's precharge still waits
+        // on tRAS, so nothing may issue. One rank: every rank falls due
+        // together, and another rank's REF would drop the cache first.
+        let mut cfg = ChannelConfig::table2();
+        cfg.topology.ranks = 1;
+        assert_matches_poll(cfg, |ch| {
+            let t = ch.config().timing.clone();
+            let due = ch.ranks[0].next_refresh();
+            ch.tick(due - t.t_rcd - 1);
+            ch.enqueue_read(addr_of(ch, 0, 0, 0, 0)).unwrap();
+            ch.enqueue_read(addr_of(ch, 0, 0, 1, 0)).unwrap();
+            ch.tick(due - ch.now());
+            assert!(ch.walked.is_some(), "the post-issue walk is cached");
+            ch.enqueue_read(addr_of(ch, 0, 1, 0, 0)).unwrap();
+        });
+    }
+
+    #[test]
+    fn cached_walk_is_dropped_when_wake_rank_exits_power_down() {
+        // A read enqueued to a pinned-down rank joins the cached walk
+        // with the rank's old `ready_at`; `wake_rank` on the same cycle
+        // moves it to `now + tXP`, so the ACT must wait for it.
+        assert_matches_poll(quiet_cfg(), |ch| {
+            ch.force_rank_down(0);
+            ch.tick(50);
+            assert!(matches!(ch.rank_power_state(0), PowerState::PowerDown { .. }));
+            ch.enqueue_read(addr_of(ch, 1, 0, 0, 0)).unwrap();
+            ch.tick(1);
+            assert!(ch.walked.is_some(), "the post-issue walk is cached");
+            ch.enqueue_read(addr_of(ch, 0, 0, 0, 0)).unwrap();
+            ch.wake_rank(0);
+        });
     }
 
     #[test]

@@ -23,6 +23,11 @@ cargo run --release -q -p sdimm-lint -- --pass l6 --json target/lint-l6.json > /
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q -p dram-sim (release codegen: debug-only cache validation compiled out)"
+# The benchmark measures the release build, where debug_validate_caches
+# does not run; the scheduler's test-only cross-checks still do.
+cargo test --release -q -p dram-sim
+
 echo "==> telemetry overhead gate (disabled sink/wear <2%, enabled recorder/wear <5%)"
 cargo run --release -q -p sdimm-bench --bin telemetry_overhead -- \
   --json target/telemetry-overhead.json

@@ -341,6 +341,16 @@ fn work_line(name: &str, result: &RunResult, channels: usize) -> String {
     )
 }
 
+/// Per-channel `(bank-index walks, queue commands issued)` of a run's
+/// measured window. Every CAS counts as a row hit, every ACT as an
+/// activation and every queue PRE as a row conflict.
+fn walks_and_commands(result: &RunResult, channels: usize) -> Vec<(u64, u64)> {
+    let walks = per_channel(result, channels, "queue_walks");
+    let cmds =
+        ["row_hits", "activations", "row_conflicts"].map(|k| per_channel(result, channels, k));
+    (0..channels).map(|ch| (walks[ch], cmds.iter().map(|c| c[ch]).sum())).collect()
+}
+
 #[test]
 fn scheduler_pass_counts_match_golden() {
     // The work-counter fence: the exact number of scheduler passes and
@@ -370,10 +380,30 @@ fn scheduler_pass_counts_match_golden() {
             ),
         ],
         &[
-            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744] walks=[113753, 110452]",
-            "full/freecursive-2ch passes=[50092, 49718] walks=[94498, 93749]",
+            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744] walks=[59736, 57901]",
+            "full/freecursive-2ch passes=[50092, 49718] walks=[47733, 47355]",
             "full/freecursive-2ch cycles=206624 cmds=98812 ch0=24c46ec4349b51d4 ch1=44f3e2126a64bac4",
-            "raw/ddr4-frfcfs-refresh passes=13061 walks=24243",
+            "raw/ddr4-frfcfs-refresh passes=13061 walks=11769",
         ],
     );
+    // One walk per issued command: the post-issue walk bounds the next
+    // wake, plans the pass there and serves every pass until the next
+    // command. Only a power-state change, a newly owed refresh or a
+    // switch between the read and write queue walks again. (Walking in
+    // every pass as well as after every issue gave 1.98–2.08 here.)
+    let raw_cmds = raw.row_hits + raw.activations + raw.row_conflicts;
+    let cells = [
+        ("lowpower/lpddr4_3200/split-2", walks_and_commands(&lowpower, 2)),
+        ("full/freecursive-2ch", walks_and_commands(&freecursive, 2)),
+        ("raw/ddr4-frfcfs-refresh", vec![(raw.queue_walks, raw_cmds)]),
+    ];
+    for (name, channels) in cells {
+        for (ch, (walks, cmds)) in channels.into_iter().enumerate() {
+            let per_cmd = walks as f64 / cmds as f64;
+            assert!(
+                per_cmd <= 1.2,
+                "{name} ch{ch}: {walks} walks for {cmds} commands ({per_cmd:.3})"
+            );
+        }
+    }
 }
