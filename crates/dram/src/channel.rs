@@ -116,9 +116,24 @@ fn earliest(classes: &Classes) -> Cycle {
 /// that sorts first by `(cycle clamped to base, id)`.
 fn fold(picks: &mut Classes, bank: Classes, base: Cycle) {
     for (pick, cand) in picks.iter_mut().zip(bank) {
-        let cand = cand.map(|(at, id)| (at.max(base), id));
-        *pick = (*pick).into_iter().chain(cand).min();
+        if let Some((at, id)) = cand {
+            let key = (at.max(base), id);
+            if pick.is_none_or(|p| key < p) {
+                *pick = Some(key);
+            }
+        }
     }
+}
+
+/// The per-class picks of the last walk of one queue, and the banks of
+/// that queue enqueued into since.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    /// The queue walked (`true`: the write queue).
+    write: bool,
+    picks: Classes,
+    /// Banks whose candidates the next pass folds into `picks`.
+    stale: u128,
 }
 
 /// Each flat bank's queued `(request id, row)` pairs for one request
@@ -227,13 +242,14 @@ pub struct DramChannel {
     /// [`post_issue_wake`](Self::post_issue_wake)). Every pass takes it;
     /// an enqueue or a rank pin or wake drops it.
     planned: Option<(Cycle, Decision)>,
-    /// The per-class picks of the last walk of one queue (`true`: the
-    /// write queue), each clamped to no earlier than the next pass: what
-    /// a fresh walk at that pass would give, so FR-FCFS passes read it
-    /// instead of walking. An enqueue into that queue folds its bank in
-    /// ([`extend_walk`](Self::extend_walk)); any command, power-state
-    /// change or newly owed refresh drops it.
-    walked: Option<(bool, Classes)>,
+    /// The per-class picks of the last walk of one queue, each clamped
+    /// to no earlier than the next pass: once the banks enqueued into
+    /// since are folded in, what a fresh walk at that pass would give,
+    /// so FR-FCFS passes read it instead of walking. Any command or
+    /// newly owed refresh drops it. A power-state change needs no drop:
+    /// a powered-down rank holds only entries enqueued since the last
+    /// pass, and their banks are folded in after it wakes.
+    walked: Option<Walked>,
     /// Test-only reference mode: run the scheduler on every cycle,
     /// ignoring `next_wake` and `planned`.
     #[cfg(test)]
@@ -490,7 +506,7 @@ impl DramChannel {
         self.read_index.push(bidx, id, coords.row);
         self.read_q.push_back(QEntry { req, coords, bidx });
         self.wake_now();
-        self.extend_walk(false, bidx);
+        self.mark_stale(false, bidx);
         Some(id)
     }
 
@@ -509,7 +525,7 @@ impl DramChannel {
         self.write_index.push(bidx, id, coords.row);
         self.write_q.push_back(QEntry { req, coords, bidx });
         self.wake_now();
-        self.extend_walk(true, bidx);
+        self.mark_stale(true, bidx);
         Some(id)
     }
 
@@ -525,7 +541,6 @@ impl DramChannel {
     /// "early enough to hide the wakeup latency").
     pub fn wake_rank(&mut self, rank: usize) {
         self.forced_down[rank] = false;
-        self.walked = None;
         self.account_bg(rank);
         let was_down = matches!(self.ranks[rank].power_state(), PowerState::PowerDown { .. });
         self.ranks[rank].exit_power_down(self.now, &self.cfg.timing);
@@ -890,7 +905,6 @@ impl DramChannel {
             match self.ranks[i].power_state() {
                 PowerState::PowerDown { .. } => {
                     if has_work {
-                        self.walked = None;
                         self.account_bg(i);
                         self.ranks[i].exit_power_down(self.now, &self.cfg.timing);
                         self.log_cmd(self.now, i, DdrCmd::PowerUp);
@@ -909,7 +923,6 @@ impl DramChannel {
                     if self.rank_open_banks[i] == 0
                         && self.power_wake(i).is_some_and(|at| at <= self.now)
                     {
-                        self.walked = None;
                         self.account_bg(i);
                         self.ranks[i].enter_power_down(self.now);
                         self.log_cmd(self.now, i, DdrCmd::PowerDown);
@@ -972,15 +985,19 @@ impl DramChannel {
             SchedulerPolicy::FrFcfs => match self.starving_head(write, self.now) {
                 Some(d) => Some(d),
                 None => {
-                    let picks = match self.walked {
-                        Some((w, picks)) if w == write && self.walk_reusable() => picks,
+                    let mut picks = Classes::default();
+                    match self.walked {
+                        Some(w) if w.write == write && self.walk_reusable() => {
+                            picks = w.picks;
+                            self.walk(write, w.stale, self.now, &mut picks);
+                        }
                         _ => {
                             self.stats.queue_walks += 1;
-                            let picks = self.walk(write, self.now);
-                            self.walked = Some((write, picks));
-                            picks
+                            let occupied = self.index(write).occupied;
+                            self.walk(write, occupied, self.now, &mut picks);
                         }
-                    };
+                    }
+                    self.walked = Some(Walked { write, picks, stale: 0 });
                     let decision = self.class_pick(write, &picks, self.now);
                     if decision.is_none() {
                         *best_retry = (*best_retry).min(earliest(&picks));
@@ -1037,41 +1054,44 @@ impl DramChannel {
         Some(queue_decision(class, write, self.queue_pos(write, id)))
     }
 
-    /// One walk over the occupied banks of a queue: for each command
-    /// class the candidate that sorts first by `(issue cycle clamped to
-    /// base, id)` — the oldest candidate issuable by `base`, else the
-    /// oldest of those issuable earliest. Every issuability bound
-    /// depends only on bank, rank, group and bus state, so each occupied
-    /// bank contributes at most one fixed candidate per class (see
-    /// [`bank_ready`](Self::bank_ready)).
-    fn walk(&self, write: bool, base: Cycle) -> Classes {
-        let index = if write { &self.write_index } else { &self.read_index };
-        let mut picks = Classes::default();
-        let mut mask = index.occupied;
-        while mask != 0 {
-            let bidx = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+    /// Folds the candidates of `banks` (occupied banks of one queue)
+    /// into `picks`: for each command class the candidate that sorts
+    /// first by `(issue cycle clamped to base, id)` — the oldest
+    /// candidate issuable by `base`, else the oldest of those issuable
+    /// earliest. Every issuability bound depends only on bank, rank,
+    /// group and bus state, so each occupied bank contributes at most
+    /// one fixed candidate per class (see
+    /// [`bank_ready`](Self::bank_ready)). Over every occupied bank, from
+    /// empty picks, this is a walk of the bank index.
+    fn walk(&self, write: bool, mut banks: u128, base: Cycle, picks: &mut Classes) {
+        let index = self.index(write);
+        while banks != 0 {
+            let bidx = banks.trailing_zeros() as usize;
+            banks &= banks - 1;
             let (oldest, hit) = self.bank_entries(index, bidx);
-            fold(&mut picks, self.bank_ready(bidx, write, oldest, hit), base);
+            fold(picks, self.bank_ready(bidx, write, oldest, hit), base);
         }
-        picks
     }
 
-    /// Folds bank `bidx`'s candidates into the cached walk of its queue
-    /// after an enqueue there. An enqueue only adds candidates — the
-    /// new entry is the youngest of its bank, so the bank's oldest entry
-    /// and oldest row hit stay candidates — and the pass it forces runs
-    /// at `now`, so clamping the bank's cycles to `now` keeps the picks
-    /// exactly what a walk at that pass would give.
-    fn extend_walk(&mut self, write: bool, bidx: u32) {
-        let Some((w, mut picks)) = self.walked else { return };
-        if w != write {
-            return;
+    /// Marks bank `bidx` stale in the cached walk of its queue after an
+    /// enqueue there. An enqueue only adds candidates — the new entry is
+    /// the youngest of its bank, so the bank's oldest entry and oldest
+    /// row hit stay candidates — and the pass it forces at `now` folds
+    /// the bank in with its cycles clamped to `now`, which keeps the
+    /// picks exactly what a walk at that pass would give.
+    fn mark_stale(&mut self, write: bool, bidx: u32) {
+        if let Some(w) = self.walked.as_mut().filter(|w| w.write == write) {
+            w.stale |= 1u128 << bidx;
         }
-        let index = if write { &self.write_index } else { &self.read_index };
-        let (oldest, hit) = self.bank_entries(index, bidx as usize);
-        fold(&mut picks, self.bank_ready(bidx as usize, write, oldest, hit), self.now);
-        self.walked = Some((w, picks));
+    }
+
+    /// The bank index of one queue.
+    fn index(&self, write: bool) -> &BankIndex {
+        if write {
+            &self.write_index
+        } else {
+            &self.read_index
+        }
     }
 
     /// Position of queued request `id` in its queue.
@@ -1458,8 +1478,9 @@ impl DramChannel {
             };
         }
         self.stats.queue_walks += 1;
-        let picks = self.walk(write, next);
-        self.walked = Some((write, picks));
+        let mut picks = Classes::default();
+        self.walk(write, self.index(write).occupied, next, &mut picks);
+        self.walked = Some(Walked { write, picks, stale: 0 });
         let wake = self.wake_at(earliest(&picks).min(timer));
         #[cfg(test)]
         self.cross_check_wake(write, timer, wake);
@@ -2422,32 +2443,33 @@ mod tests {
 
     #[test]
     fn cached_walk_is_dropped_when_a_refresh_falls_due() {
-        // The walk after a CAS is cached at cycle `R - 1`, one cycle
-        // before rank 0's refresh falls due at `R`. A read to an idle
-        // bank enqueued at `R` joins the cache as an ACT ready at once.
+        // Bank 0 activates tRRD before rank 0's refresh falls due at
+        // `R`, so the walk after it caches bank 1's ACT as ready at `R`.
         // The pass at `R` marks the refresh owed: the rank's idle banks
-        // stop offering ACTs, and the open bank's precharge still waits
-        // on tRAS, so nothing may issue. One rank: every rank falls due
-        // together, and another rank's REF would drop the cache first.
+        // stop offering ACTs, bank 0's CAS and precharge still wait on
+        // tRCD and tRAS, so nothing may issue. One rank: every rank
+        // falls due together, and another rank's REF would drop the
+        // cache first.
         let mut cfg = ChannelConfig::table2();
         cfg.topology.ranks = 1;
         assert_matches_poll(cfg, |ch| {
             let t = ch.config().timing.clone();
             let due = ch.ranks[0].next_refresh();
-            ch.tick(due - t.t_rcd - 1);
+            ch.tick(due - t.t_rrd);
             ch.enqueue_read(addr_of(ch, 0, 0, 0, 0)).unwrap();
-            ch.enqueue_read(addr_of(ch, 0, 0, 1, 0)).unwrap();
-            ch.tick(due - ch.now());
-            assert!(ch.walked.is_some(), "the post-issue walk is cached");
             ch.enqueue_read(addr_of(ch, 0, 1, 0, 0)).unwrap();
+            ch.tick(1);
+            let cached = ch.walked.map(|w| w.picks[ACT]);
+            assert!(cached.flatten().is_some_and(|(at, _)| at == due), "{cached:?}");
         });
     }
 
     #[test]
-    fn cached_walk_is_dropped_when_wake_rank_exits_power_down() {
-        // A read enqueued to a pinned-down rank joins the cached walk
-        // with the rank's old `ready_at`; `wake_rank` on the same cycle
-        // moves it to `now + tXP`, so the ACT must wait for it.
+    fn cached_walk_folds_an_enqueue_after_wake_rank() {
+        // A read enqueued to a pinned-down rank marks its bank stale in
+        // the cached walk; `wake_rank` on the same cycle moves the rank's
+        // `ready_at` to `now + tXP`. The pass folds the bank in on the
+        // woken state, so the ACT waits for tXP.
         assert_matches_poll(quiet_cfg(), |ch| {
             ch.force_rank_down(0);
             ch.tick(50);

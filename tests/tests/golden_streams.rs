@@ -380,7 +380,7 @@ fn scheduler_pass_counts_match_golden() {
             ),
         ],
         &[
-            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744] walks=[59736, 57901]",
+            "lowpower/lpddr4_3200/split-2 passes=[72170, 70744] walks=[59619, 57784]",
             "full/freecursive-2ch passes=[50092, 49718] walks=[47733, 47355]",
             "full/freecursive-2ch cycles=206624 cmds=98812 ch0=24c46ec4349b51d4 ch1=44f3e2126a64bac4",
             "raw/ddr4-frfcfs-refresh passes=13061 walks=11769",
