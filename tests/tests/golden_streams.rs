@@ -388,9 +388,8 @@ fn scheduler_pass_counts_match_golden() {
     );
     // One walk per issued command: the post-issue walk bounds the next
     // wake, plans the pass there and serves every pass until the next
-    // command. Only a power-state change, a newly owed refresh or a
-    // switch between the read and write queue walks again. (Walking in
-    // every pass as well as after every issue gave 1.98–2.08 here.)
+    // command. The few extra walks come from refresh, switches between
+    // the read and write queues, and queues refilling from empty.
     let raw_cmds = raw.row_hits + raw.activations + raw.row_conflicts;
     let cells = [
         ("lowpower/lpddr4_3200/split-2", walks_and_commands(&lowpower, 2)),
